@@ -29,7 +29,8 @@ from .tame import (TauOrbits, tau_orbits, canonical_decomposition,
                    tame_regular_module, pencil_templates)
 from .semiinvariant import (Weight, GeneratorDescriptor, weight_of_cv, gamma,
                             evaluate_cv, evaluate_det, evaluate_pf,
-                            is_pfaffian_type, pencil_coefficients,
+                            evaluate_all, is_pfaffian_type,
+                            pencil_coefficients,
                             generators_finite, generators_tame,
                             reduce_composition)
 from . import families
@@ -54,7 +55,8 @@ __all__ = [
     "Arc", "admissible_arcs", "generic_decomposition", "tame_regular_module",
     "pencil_templates",
     "Weight", "GeneratorDescriptor", "weight_of_cv", "gamma", "evaluate_cv",
-    "evaluate_det", "evaluate_pf", "is_pfaffian_type", "pencil_coefficients",
+    "evaluate_det", "evaluate_pf", "evaluate_all", "is_pfaffian_type",
+    "pencil_coefficients",
     "generators_finite", "generators_tame", "reduce_composition",
     "families",
 ]

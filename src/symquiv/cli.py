@@ -12,7 +12,7 @@ from .quiver import DimensionVector, euler_form
 from .reflection import PLUS, reflect_pair_dim, reflect_pair_rep
 from .representation import act, random_group_element, random_structured
 from .schur import lr_coefficient_lists, weight_space_dim
-from .semiinvariant import generators_finite, generators_tame
+from .semiinvariant import evaluate_all, generators_finite, generators_tame
 from .symmetric import classify_symmetric
 from .tame import admissible_arcs, canonical_decomposition, generic_decomposition, \
     tau_orbits
@@ -102,15 +102,20 @@ def cmd_generators(args) -> int:
         gens = generators_tame(sq, d, args.flavor)
     if args.check_invariance:
         w = random_structured(sq, args.flavor, d, seed=args.seed)
-        for g in gens:
-            base = g.evaluate(w)
-            for k in range(args.check_invariance):
-                elt = random_group_element(sq, args.flavor, d,
-                                           seed=args.seed + 7919 * (k + 1))
-                if g.evaluate(act(elt, w)) != base:
-                    print("invariance FAILED for %s" % g.provenance,
-                          file=sys.stderr)
-                    return 4
+        base = evaluate_all(gens, w)
+        moved = set()
+        for k in range(args.check_invariance if gens else 0):
+            elt = random_group_element(sq, args.flavor, d,
+                                       seed=args.seed + 7919 * (k + 1))
+            gw = act(elt, w)
+            if (gw.matrices, gw.fixed_matrices) == (w.matrices, w.fixed_matrices):
+                continue              # g fixes w, so no value can move
+            moved.update(i for i, v in enumerate(evaluate_all(gens, gw))
+                         if v != base[i])
+        if moved:
+            print("invariance FAILED for %s" % gens[min(moved)].provenance,
+                  file=sys.stderr)
+            return 4
     for g in gens:
         if args.json_lines:
             print(sqio.descriptor_to_json(g))
@@ -128,17 +133,15 @@ def cmd_evaluate(args) -> int:
         sr = sqio.parse_representation(fh.read(), sq)
     with open(args.gen_file, "r", encoding="utf-8") as fh:
         lines = [l for l in fh.read().splitlines() if l.strip()]
-    for line in lines:
-        desc = sqio.descriptor_from_json(line, sq)
-        val = desc.evaluate(sr)
+    descs = [sqio.descriptor_from_json(line, sq) for line in lines]
+    for desc, val in zip(descs, evaluate_all(descs, sr)):
         print("%s %s" % (desc.provenance, sqio.format_rational(val)))
     return 0
 
 
 def cmd_lr(args) -> int:
-    lam = [int(t) for t in args.lam.split(",") if t] if args.lam else []
-    mu = [int(t) for t in args.mu.split(",") if t] if args.mu else []
-    nu = [int(t) for t in args.nu.split(",") if t] if args.nu else []
+    lam, mu, nu = ([sqio.parse_int(t) for t in text.split(",") if t]
+                   for text in (args.lam, args.mu, args.nu))
     print(lr_coefficient_lists(lam, mu, nu))
     return 0
 

@@ -21,6 +21,13 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def parse_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise ParseError("bad integer %r" % tok) from exc
+
+
 def parse_rational(tok: str) -> Fraction:
     try:
         if "/" in tok:
@@ -243,7 +250,7 @@ def parse_dim_vector(text: str, sq: SymmetricQuiver) -> DimensionVector:
     verts = sq.base.vertices
     if len(toks) != len(verts):
         raise ParseError("expected %d entries for vertices %s" % (len(verts), verts))
-    return DimensionVector({v: int(t) for v, t in zip(verts, toks)})
+    return DimensionVector({v: parse_int(t) for v, t in zip(verts, toks)})
 
 
 def parse_weight(text: str, sq: SymmetricQuiver) -> Weight:

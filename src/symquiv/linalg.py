@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with `fractions.Fraction` entries; no floating point
-is used anywhere in the package.
+Matrices hold `fractions.Fraction` entries; no floating point is used
+anywhere in the package.  The determinant and the Pfaffian clear
+denominators first and eliminate on Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import NotSkewSymmetric, NotSquare, OddDimension
@@ -60,14 +62,6 @@ class RationalMatrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols, [ZERO] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence) -> "RationalMatrix":
-        n = len(diag)
-        m = cls.zero(n, n)
-        for i, x in enumerate(diag):
-            m.data[i * n + i] = _frac(x)
-        return m
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["RationalMatrix"]]) -> "RationalMatrix":
@@ -270,34 +264,38 @@ def column_space_complement(m: RationalMatrix):
     return proj, comp
 
 
+def _lcm_denominator(xs: Sequence[Fraction]) -> int:
+    return lcm(*(x.denominator for x in xs)) if xs else 1
+
+
 def determinant(m: RationalMatrix) -> Fraction:
-    """Determinant via fraction-free (Bareiss) elimination."""
+    """Determinant via integer fraction-free (Bareiss) elimination.
+
+    Each row is scaled by the lcm of its denominators, so the elimination
+    runs on Python ints and every division by the previous pivot is exact.
+    """
     if not m.is_square():
         raise NotSquare("determinant of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return ONE
-    a = [list(m.row(i)) for i in range(n)]
+    d = [_lcm_denominator(m.row(i)) for i in range(n)]
+    a = [[x.numerator * (d[i] // x.denominator) for x in m.row(i)] for i in range(n)]
     sign = 1
-    prev = ONE
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    swap = i
-                    break
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 return ZERO
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pivot = a[k][k]
+        tail = a[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = ZERO
+            ai = a[i]
+            f = ai[k]
+            ai[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(ai[k + 1:], tail)]
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1] if n else 1, prod(d))
 
 
 class LinalgKit(NamedTuple):
@@ -339,58 +337,47 @@ def pfaffian_matching_sum(m: RationalMatrix) -> Fraction:
     return rec(tuple(range(n)))
 
 
-def pfaffian_eliminate(m: RationalMatrix) -> Fraction:
-    """Pfaffian via skew-symmetric elimination by congruence transvections."""
+def pfaffian(m: RationalMatrix) -> Fraction:
+    """Exact Pfaffian of an even skew-symmetric matrix.
+
+    Denominators are cleared by the congruence D*A*D with D diagonal (the
+    row lcms), which scales the Pfaffian by det D.  The integer matrix then
+    goes through fraction-free skew elimination: after the step on the pair
+    (k, k+1) with pivot p, every remaining entry is the Pfaffian of a
+    principal submatrix, and the division by the previous pivot is exact
+    (Rote 2001).  Only the upper triangle of the remaining block is kept
+    current.
+    """
     _check_skew(m)
     n = m.rows
-    if n == 0:
-        return ONE
-    a = [list(m.row(i)) for i in range(n)]
+    d = [_lcm_denominator(m.row(i)) for i in range(n)]
+    a = [[x.numerator * (d[i] // x.denominator) * d[j] for j, x in enumerate(m.row(i))]
+         for i in range(n)]
     sign = 1
-    result = ONE
+    prev = 1
     for k in range(0, n, 2):
         if a[k][k + 1] == 0:
-            swap = None
-            for r in range(k + 2, n):
-                if a[k][r] != 0:
-                    swap = r
-                    break
+            swap = next((r for r in range(k + 2, n) if a[k][r]), None)
             if swap is None:
                 return ZERO
+            # restore the lower triangle, then swap k+1 and swap in rows and
+            # columns: a congruence that flips the sign of the Pfaffian
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    a[j][i] = -a[i][j]
             a[k + 1], a[swap] = a[swap], a[k + 1]
             for row in a:
                 row[k + 1], row[swap] = row[swap], row[k + 1]
             sign = -sign
         p = a[k][k + 1]
-        result *= p
-        for j in range(k + 2, n):
-            # congruence transvections: clear a[k][j] with row/column k+1,
-            # then a[k+1][j] with row/column k; both preserve the pfaffian
-            c = -a[k][j] / p
-            if c:
-                for t in range(n):
-                    a[j][t] += c * a[k + 1][t]
-                for row in a:
-                    row[j] += c * row[k + 1]
-            d = a[k + 1][j] / p
-            if d:
-                for t in range(n):
-                    a[j][t] += d * a[k][t]
-                for row in a:
-                    row[j] += d * row[k]
-    return sign * result
-
-
-def pfaffian(m: RationalMatrix) -> Fraction:
-    """Exact Pfaffian of an even skew-symmetric matrix.
-
-    Small matrices go through the combinatorial matching sum; larger ones
-    through congruence elimination.  Both agree exactly.
-    """
-    _check_skew(m)
-    if m.rows <= 12:
-        return pfaffian_matching_sum(m)
-    return pfaffian_eliminate(m)
+        ak, ak1 = a[k], a[k + 1]
+        for i in range(k + 2, n):
+            ai = a[i]
+            x, y = ak[i], ak1[i]          # -a[i][k], -a[i][k+1]
+            ai[i + 1:] = [(p * z - x * u + y * v) // prev
+                          for z, u, v in zip(ai[i + 1:], ak1[i + 1:], ak[i + 1:])]
+        prev = p
+    return Fraction(sign * prev, prod(d))
 
 
 def _check_skew(m: RationalMatrix) -> None:

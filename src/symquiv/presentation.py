@@ -51,24 +51,6 @@ class PathMatrix:
         for c in range(len(self.cols)):
             self.entries[r][c] = {p: factor * x for p, x in self.entries[r][c].items()}
 
-    def describe(self) -> List[List[str]]:
-        out = []
-        for r in range(len(self.rows)):
-            row = []
-            for c in range(len(self.cols)):
-                combo = self.entries[r][c]
-                if not combo:
-                    row.append("0")
-                else:
-                    parts = []
-                    for p in sorted(combo):
-                        coeff = combo[p]
-                        label = ".".join(reversed(p)) if p else "1"
-                        parts.append("%s*%s" % (coeff, label) if coeff != 1 else label)
-                    row.append("+".join(parts))
-            out.append(row)
-        return out
-
 
 def path_combo(*items) -> PathCombo:
     """Build a combination; items are paths or (coefficient, path) pairs."""

@@ -80,9 +80,6 @@ class Quiver:
             raise CyclicQuiver("quiver has an oriented cycle")
         return order
 
-    def topological_order(self) -> List[int]:
-        return self._topological_order()
-
     def reverse_arrows_at(self, x: int) -> "Quiver":
         """The quiver with every arrow incident to x reversed."""
         arrows = []
@@ -172,9 +169,6 @@ class DimensionVector:
     def __hash__(self):
         return hash(tuple(sorted((k, v) for k, v in self.values.items() if v)))
 
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values.values())
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values.values())
 
@@ -193,9 +187,6 @@ class DimensionVector:
 class GraphType:
     family: str  # 'A', 'D', 'E', 'Atilde', 'Dtilde', 'Etilde', 'Other'
     n: int
-
-    def is_dynkin(self) -> bool:
-        return self.family in ("A", "D", "E")
 
     def is_euclidean(self) -> bool:
         return self.family in ("Atilde", "Dtilde", "Etilde")

@@ -67,10 +67,6 @@ class Representation:
         return "Representation(%r, dim=%r)" % (self.quiver.name, self.dim)
 
 
-def zero_representation(q: Quiver) -> Representation:
-    return Representation(q, DimensionVector.zero(q), {})
-
-
 def interval_module(n: int, j: int, i: int) -> Representation:
     """The indecomposable of equioriented A_n supported on [j, i]."""
     if not (1 <= j <= i <= n):

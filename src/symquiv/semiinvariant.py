@@ -146,32 +146,71 @@ class GeneratorDescriptor:
     index: Optional[int] = None    # parameter exponent for pencil kinds
 
     def evaluate(self, w: StructuredRepresentation) -> Fraction:
-        if self.kind == "det":
-            return evaluate_det(self.template, w)
-        if self.kind == "pf":
-            return evaluate_pf(self.template, w)
-        coeffs = pencil_coefficients(self.pencil, w,
-                                     "pf" if self.kind == "pencil-pf" else "det")
-        return coeffs.get(self.index, Fraction(0))
+        return evaluate_all([self], w)[0]
 
     def sort_key(self):
         return (self.kind, self.weight.as_sorted_items(),
                 self.index if self.index is not None else -1, self.provenance)
 
 
+def _pencil_key(pencil) -> Tuple:
+    """A hashable value of a pencil (or a sign-normalized pencil): pencils
+    with equal keys evaluate to the same matrices at every representation."""
+    signs = ()
+    if isinstance(pencil, _SkewPencil):
+        signs, pencil = pencil.signs, pencil.base
+
+    def grid(entries):
+        return tuple(tuple(tuple(sorted(combo.items())) for combo in row)
+                     for row in entries)
+    return (tuple(pencil.rows), tuple(pencil.cols), grid(pencil.phi_entries),
+            grid(pencil.psi_entries), grid(pencil.const_entries), tuple(signs))
+
+
+def evaluate_all(gens: List[GeneratorDescriptor],
+                 w: StructuredRepresentation) -> List[Fraction]:
+    """Values of the generators at one representation, in order.
+
+    The coefficients of each distinct pencil polynomial (distinct by value,
+    not by object) are computed once and shared by every pencil generator
+    reading it; nothing is kept after the call returns.
+    """
+    coefficients: Dict[Tuple, Dict[int, Fraction]] = {}
+    out = []
+    for g in gens:
+        if g.kind == "det":
+            out.append(evaluate_det(g.template, w))
+        elif g.kind == "pf":
+            out.append(evaluate_pf(g.template, w))
+        else:
+            key = (g.kind, _pencil_key(g.pencil))
+            if key not in coefficients:
+                coefficients[key] = pencil_coefficients(
+                    g.pencil, w, "pf" if g.kind == "pencil-pf" else "det")
+            out.append(coefficients[key].get(g.index, Fraction(0)))
+    return out
+
+
 def pencil_coefficients(pencil, w: StructuredRepresentation, kind: str) -> Dict[int, Fraction]:
     """Exact coefficients of the parameter polynomial det or pf of the pencil
-    evaluated at a representation, by interpolation at integer nodes."""
+    evaluated at a representation, by interpolation at integer nodes.
+
+    The pencil is affine in its parameter, so the templates are evaluated
+    at t = 0 and t = 1 only and M(t) = M(0) + t (M(1) - M(0)) gives the
+    matrix at every other node.
+    """
     full = w.full()
     m0 = evaluate_template(pencil.combine(Fraction(0), Fraction(1)), full)
     if not m0.is_square():
         raise NotSquare("pencil does not evaluate to square matrices")
+    m1 = evaluate_template(pencil.combine(Fraction(1), Fraction(1)), full)
+    step = [b - a for a, b in zip(m0.data, m1.data)]
     degree = m0.rows if kind == "det" else m0.rows // 2
+    kernel = determinant if kind == "det" else pfaffian
     pts = []
     for t in range(degree + 1):
-        mt = evaluate_template(pencil.combine(Fraction(t), Fraction(1)), full)
-        val = determinant(mt) if kind == "det" else pfaffian(mt)
-        pts.append((Fraction(t), val))
+        mt = RationalMatrix(m0.rows, m0.cols, [a + t * s for a, s in zip(m0.data, step)])
+        pts.append((Fraction(t), kernel(mt)))
     coeffs = interpolate_polynomial(pts)
     return {i: c for i, c in enumerate(coeffs) if c}
 
@@ -476,9 +515,8 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
     w1 = random_structured(sq, flavor, d, seed=9101)
     seen = set()
     deduped = []
-    for g in out:
-        key = (g.kind.replace("pencil-", ""), g.weight.as_sorted_items(),
-               g.evaluate(w0), g.evaluate(w1))
+    for g, v0, v1 in zip(out, evaluate_all(out, w0), evaluate_all(out, w1)):
+        key = (g.kind.replace("pencil-", ""), g.weight.as_sorted_items(), v0, v1)
         if key in seen:
             continue
         seen.add(key)

@@ -7,8 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from symquiv import cli
 from symquiv import io as sqio
+from symquiv import semiinvariant
 from symquiv.cli import main
+from symquiv.quiver import DimensionVector
+from symquiv.representation import random_structured
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -169,3 +173,51 @@ def test_oracle_dim_rejects_weight_on_fixed_vertex():
                       "--dim", "2,2,2,2,2", "--flavor", "sp",
                       "--weight", "1,0,1,0,-1")
     assert code == 4
+
+
+def test_malformed_numbers_exit_2(capsys):
+    for argv in (("euler", "-q", str(FIX / "a201_00.qv"), "--alpha", "x,2",
+                  "--beta", "1,1"),
+                 ("lr", "--mu", "a")):
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pencil_solved_once_per_point(tmp_path, monkeypatch):
+    """A pencil of degree d is solved at d+1 nodes once per representation,
+    however many of its coefficients are listed."""
+    qfile = str(FIX / "a201_00.qv")
+    sq = sqio.parse_quiver((FIX / "a201_00.qv").read_text())
+    for flavor, n, kernel, degree in (("sp", 3, "determinant", 3),
+                                      ("o", 4, "pfaffian", 2)):
+        dim = "%d,%d" % (n, n)
+        code, out = run_cli("generators", "-q", qfile, "--dim", dim,
+                            "--flavor", flavor, "--json-lines")
+        assert code == 0
+        gen_file = tmp_path / ("gens_%s.jsonl" % flavor)
+        gen_file.write_text(out)
+        gens = [sqio.descriptor_from_json(l, sq) for l in out.splitlines()]
+        assert len(gens) == degree + 1
+        assert all(g.kind.startswith("pencil-") for g in gens)
+        rep_file = tmp_path / ("w_%s.rep" % flavor)
+        d = DimensionVector({1: n, 2: n})
+        rep_file.write_text(sqio.serialize_representation(
+            random_structured(sq, flavor, d, seed=8)))
+        calls = []
+        solve = getattr(semiinvariant, kernel)
+        monkeypatch.setattr(semiinvariant, kernel,
+                            lambda m: calls.append(m.rows) or solve(m))
+        code, out = run_cli("evaluate", "-q", qfile, "--rep", str(rep_file),
+                            "--gen-file", str(gen_file))
+        assert code == 0 and len(out.splitlines()) == degree + 1
+        assert len(calls) == degree + 1
+        del calls[:]
+        monkeypatch.setattr(cli, "generators_tame", lambda *a: gens)
+        code, _ = run_cli("generators", "-q", qfile, "--dim", dim,
+                          "--flavor", flavor, "--check-invariance", "2")
+        assert code == 0
+        assert len(calls) == 3 * (degree + 1)
+        monkeypatch.undo()

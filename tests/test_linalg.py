@@ -6,18 +6,22 @@ import pytest
 from symquiv.errors import NotSkewSymmetric, OddDimension
 from symquiv.linalg import (RationalMatrix, determinant, interpolate_polynomial,
                             kernel_basis, linalg_kit, pfaffian,
-                            pfaffian_eliminate, pfaffian_matching_sum, rank)
+                            pfaffian_matching_sum, rank)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return RationalMatrix(rows, cols, [rng.randint(lo, hi) for _ in range(rows * cols)])
 
 
-def random_skew(rng, n):
+def random_skew(rng, n, max_den=1, density=1.0):
     m = RationalMatrix.zero(n, n)
     for i in range(n):
         for j in range(i + 1, n):
+            if density < 1 and rng.random() >= density:
+                continue
             x = Fraction(rng.randint(-9, 9))
+            if max_den > 1:
+                x /= rng.randint(1, max_den)
             m[i, j] = x
             m[j, i] = -x
     return m
@@ -139,10 +143,59 @@ def test_pfaffian_congruence():
 
 def test_pfaffian_eliminate_matches_matching_sum():
     rng = random.Random(13)
-    for n in range(0, 5):
-        for _ in range(15):
-            m = random_skew(rng, 2 * n)
-            assert pfaffian_eliminate(m) == pfaffian_matching_sum(m)
+    cases = []
+    for n in range(0, 7):
+        for density in (1.0, 0.5, 0.2):
+            for _ in range(6 if n < 5 else 2):
+                cases.append(random_skew(rng, 2 * n, max_den=5, density=density))
+        if n:
+            # a zero first pivot forces the row/column swap
+            m = random_skew(rng, 2 * n, max_den=5)
+            m[0, 1] = m[1, 0] = 0
+            cases.append(m)
+            # singular: vertex 0 isolated, and a rank-deficient congruence
+            m = random_skew(rng, 2 * n, max_den=5)
+            for j in range(2 * n):
+                m[0, j] = m[j, 0] = 0
+            cases.append(m)
+            b = random_matrix(rng, 2 * n, 2 * n, -3, 3)
+            for j in range(2 * n):
+                b[1, j] = b[0, j] * 2
+            cases.append(b * random_skew(rng, 2 * n, max_den=5) * b.transpose())
+    for m in cases:
+        p = pfaffian(m)
+        assert p == pfaffian_matching_sum(m)
+        assert p ** 2 == determinant(m)
+    assert any(pfaffian(m) == 0 and not m.is_zero() for m in cases)
+
+
+def test_linalg_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    for trial in range(60):
+        rows = rng.randint(1, 12)
+        cols = rows if trial % 2 == 0 else rng.randint(1, 12)
+        data = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if trial % 3 == 0:
+            for r in data:
+                r[0] = Fraction(0)           # zero leading pivot column
+        if trial % 5 == 0 and rows > 2:
+            data[-1] = [x - 2 * y for x, y in zip(data[0], data[1])]  # rank drop
+        m = RationalMatrix.from_rows(data)
+        s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                          for r in data])
+        assert rank(m) == s.rank()
+        assert kernel_basis(m) == [[Fraction(int(x.p), int(x.q)) for x in v]
+                                   for v in s.nullspace()]
+        if rows == cols:
+            det = s.det()
+            assert determinant(m) == Fraction(int(det.p), int(det.q))
 
 
 def test_pfaffian_large_uses_elimination():

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from symquiv import families
+from symquiv import io as sqio
 from symquiv.errors import NonOrthogonalDimensions, PatternNotFound
 from symquiv.linalg import RationalMatrix, determinant
 from symquiv.quiver import DimensionVector, euler_form, null_root
@@ -11,12 +13,13 @@ from symquiv.reflection import MINUS, PLUS, coxeter_dim, coxeter_rep, dual_rep, 
     reflect_pair_rep
 from symquiv.representation import (act, interval_module, random_group_element,
                                     random_structured)
-from symquiv.semiinvariant import (GeneratorDescriptor, evaluate_cv, gamma,
-                                   generators_finite, generators_tame,
-                                   is_pfaffian_type, pencil_coefficients,
+from symquiv.semiinvariant import (GeneratorDescriptor, evaluate_all,
+                                   evaluate_cv, gamma, generators_finite,
+                                   generators_tame, is_pfaffian_type,
+                                   pencil_coefficients,
                                    reduce_composition, weight_of_cv, Weight)
 from symquiv.presentation import minimal_presentation
-from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC
+from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC, classify_symmetric
 from symquiv.tame import pencil_templates, tame_regular_module, tau_orbits
 
 
@@ -262,6 +265,22 @@ def test_pencil_extremes_match_arrow_determinants():
     d0 = determinant(w.fixed_matrices["b"])
     dp = determinant(w.fixed_matrices["a"])
     assert {coeffs[0], coeffs[max(coeffs)]} == {d0, dp}
+
+
+def test_evaluate_all_matches_single_evaluations():
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.qv")):
+        sq = sqio.parse_quiver(path.read_text())
+        if classify_symmetric(sq).tag == "FiniteA":
+            enumerate_gens = generators_finite
+            d = DimensionVector({v: 2 for v in sq.base.vertices})
+        else:
+            enumerate_gens = generators_tame
+            d = null_root(sq.base).scale(2)
+        for flavor in (SYMPLECTIC, ORTHOGONAL):
+            gens = enumerate_gens(sq, d, flavor)
+            assert gens, path.name
+            w = random_structured(sq, flavor, d, seed=4)
+            assert evaluate_all(gens, w) == [g.evaluate(w) for g in gens]
 
 
 def test_generators_tame_odd_orthogonal_kronecker_empty():
