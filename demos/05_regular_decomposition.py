@@ -16,7 +16,7 @@ d = h.scale(2)
 for i, lab in {0: 2, 3: 2, 2: 3, 4: 3}.items():
     d = d + poly.dims[i].scale(lab)
 
-dec = canonical_decomposition(sq, d, orbits=orbits)
+dec = canonical_decomposition(sq, d)
 print("p =", dec.p, " labels =", dec.labelled[0].labels)
 print("arcs:")
 for arc in admissible_arcs(dec.labelled[0]):
@@ -26,5 +26,5 @@ for arc in admissible_arcs(dec.labelled[0]):
 
 for mode in ("plain", "sp", "o"):
     print("\n%s decomposition:" % mode)
-    for dim, mult in generic_decomposition(sq, d, mode, orbits):
+    for dim, mult in generic_decomposition(sq, d, mode):
         print("  %s x%d" % (dim, mult))

@@ -14,8 +14,7 @@ from .representation import act, random_group_element, random_structured
 from .schur import lr_coefficient_lists, weight_space_dim
 from .semiinvariant import evaluate_all, generators_finite, generators_tame
 from .symmetric import classify_symmetric
-from .tame import admissible_arcs, canonical_decomposition, generic_decomposition, \
-    tau_orbits
+from .tame import admissible_arcs, canonical_decomposition, generic_decomposition
 
 
 def _load_quiver(path: str):
@@ -77,8 +76,7 @@ def cmd_decompose(args) -> int:
 def cmd_arcs(args) -> int:
     sq = _load_quiver(args.quiver)
     d = sqio.parse_dim_vector(args.dim, sq)
-    orbits = tau_orbits(sq)
-    dec = canonical_decomposition(sq, d, orbits=orbits)
+    dec = canonical_decomposition(sq, d)
     print("p %d" % dec.p)
     for lp in dec.labelled:
         poly = lp.polygon
@@ -239,7 +237,7 @@ def main(argv=None) -> int:
     except SymquivError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:   # unreadable input file
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -221,7 +221,13 @@ def descriptor_to_json(d: GeneratorDescriptor) -> str:
 
 
 def descriptor_from_json(line: str, sq: SymmetricQuiver) -> GeneratorDescriptor:
-    rec = json.loads(line)
+    try:
+        return _descriptor_from_record(json.loads(line), sq)
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ParseError("bad generator record %r" % line[:60]) from exc
+
+
+def _descriptor_from_record(rec, sq: SymmetricQuiver) -> GeneratorDescriptor:
     weight = Weight({int(k): parse_rational(v) for k, v in rec["weight"].items()})
     template = None
     pencil = None
@@ -238,9 +244,17 @@ def descriptor_from_json(line: str, sq: SymmetricQuiver) -> GeneratorDescriptor:
         if pd.get("signs"):
             pen = _SkewPencil(pen, tuple(pd["signs"]))
         pencil = pen
-    return GeneratorDescriptor(rec["kind"], weight, rec["provenance"],
-                               template=template, pencil=pencil,
-                               index=rec.get("index"))
+    kind, index = rec["kind"], rec.get("index")
+    if kind in ("det", "pf"):
+        if template is None:
+            raise ParseError("a %s record needs a template" % kind)
+    elif kind in ("pencil-det", "pencil-pf"):
+        if pencil is None or not isinstance(index, int):
+            raise ParseError("a %s record needs a pencil and an integer index" % kind)
+    else:
+        raise ParseError("unknown generator kind %r" % (kind,))
+    return GeneratorDescriptor(kind, weight, rec["provenance"],
+                               template=template, pencil=pencil, index=index)
 
 
 # -- small vectors ------------------------------------------------------------------

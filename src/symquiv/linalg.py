@@ -419,20 +419,24 @@ def coordinates_in_span(basis: List[List[Fraction]], vec: Sequence[Fraction]) ->
 def interpolate_polynomial(points: Sequence) -> List[Fraction]:
     """Coefficients c_0..c_d of the unique degree-<n polynomial through points.
 
-    ``points`` is a sequence of (x, y) pairs with distinct rational x.
+    ``points`` is a sequence of (x, y) pairs with distinct rational x.  Newton
+    divided differences, expanded to monomial coefficients: O(n^2) exact
+    operations.  Trailing zero coefficients are dropped.
     """
-    n = len(points)
-    vm = RationalMatrix.zero(n, n)
-    ys = []
-    for i, (x, y) in enumerate(points):
-        x = _frac(x)
-        p = ONE
-        for j in range(n):
-            vm[i, j] = p
-            p *= x
-        ys.append(_frac(y))
-    sol = solve(vm, ys)
-    assert sol is not None
-    while sol and sol[-1] == 0:
-        sol.pop()
-    return sol
+    xs = [_frac(x) for x, _ in points]
+    dd = [_frac(y) for _, y in points]
+    n = len(xs)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    # Horner on the Newton form dd_0 + (x - x_0)(dd_1 + (x - x_1)(dd_2 + ...))
+    coeffs: List[Fraction] = []
+    for k in range(n - 1, -1, -1):
+        shifted = [ZERO] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= xs[k] * c
+        shifted[0] += dd[k]
+        coeffs = shifted
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs

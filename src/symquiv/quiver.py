@@ -3,10 +3,42 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, TypeVar
 
 from .errors import CyclicQuiver, DomainMismatch, NotEuclidean, ValidationError
 from .linalg import RationalMatrix, kernel_basis
+
+
+T = TypeVar("T")
+
+
+class Frozen:
+    """Base of immutable objects: every attribute is set once, in ``__init__``.
+
+    A subclass with a ``_memo`` slot keeps the values it derives from itself
+    through :meth:`cached`, for the life of the object.
+    """
+
+    __slots__ = ()
+
+    def _init(self, **fields) -> None:
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, key, value):
+        raise AttributeError("%s objects are immutable" % type(self).__name__)
+
+    def __delattr__(self, key):
+        raise AttributeError("%s objects are immutable" % type(self).__name__)
+
+    def cached(self, key, compute: Callable[..., T]) -> T:
+        """``compute(self)``, computed on the first request for ``key`` and
+        kept on this object.  Nothing is kept when ``compute`` raises."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute(self)
+        return memo[key]
 
 
 @dataclass(frozen=True)
@@ -16,29 +48,40 @@ class Arrow:
     head: int
 
 
-class Quiver:
-    """Finite directed multigraph without oriented cycles."""
+class Quiver(Frozen):
+    """Finite directed multigraph without oriented cycles.
+
+    Immutable.  Invariants derived from the quiver (its null root,
+    reflection orders and neighbour lists) are computed on first request
+    through :meth:`cached` and kept for the life of the object.
+    """
+
+    __slots__ = ("name", "vertices", "arrows", "arrow_by_name", "_memo")
 
     def __init__(self, vertices: Iterable[int], arrows: Iterable[Tuple[str, int, int]],
                  name: str = "Q"):
-        self.name = name
         vlist = [int(v) for v in vertices]
         if len(set(vlist)) != len(vlist):
             raise ValidationError("duplicate vertex ids")
-        self.vertices: Tuple[int, ...] = tuple(sorted(vlist))
-        if any(v <= 0 for v in self.vertices):
+        verts: Tuple[int, ...] = tuple(sorted(vlist))
+        if any(v <= 0 for v in verts):
             raise ValidationError("vertex ids must be positive integers")
-        self.arrows: Tuple[Arrow, ...] = tuple(
-            Arrow(str(n), int(t), int(h)) for (n, t, h) in arrows)
-        names = [a.name for a in self.arrows]
+        arrs: Tuple[Arrow, ...] = tuple(Arrow(str(n), int(t), int(h)) for (n, t, h) in arrows)
+        names = [a.name for a in arrs]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate arrow names")
-        vset = set(self.vertices)
-        for a in self.arrows:
+        vset = set(verts)
+        for a in arrs:
             if a.tail not in vset or a.head not in vset:
                 raise ValidationError("arrow %s references missing vertex" % a.name)
-        self.arrow_by_name: Dict[str, Arrow] = {a.name: a for a in self.arrows}
+        self._init(name=name, vertices=verts, arrows=arrs,
+                   arrow_by_name=MappingProxyType({a.name: a for a in arrs}), _memo={})
         self._topological_order()  # raises CyclicQuiver when impossible
+
+    def neighbours(self, x: int) -> Tuple[int, ...]:
+        """The other end of every arrow at x, one entry per arrow.  Reversing
+        arrows leaves these lists unchanged."""
+        return self.cached("neighbours", _neighbour_lists)[x]
 
     # -- structure ---------------------------------------------------------
     def arrows_into(self, x: int) -> List[Arrow]:
@@ -128,13 +171,27 @@ class Quiver:
         return "Quiver(%s: %d vertices, %d arrows)" % (self.name, len(self.vertices), len(self.arrows))
 
 
-class DimensionVector:
-    """Integer-valued function on the vertex set."""
+def _neighbour_lists(q: Quiver) -> Dict[int, Tuple[int, ...]]:
+    nbrs: Dict[int, List[int]] = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        nbrs[a.tail].append(a.head)
+        nbrs[a.head].append(a.tail)
+    return {v: tuple(ws) for v, ws in nbrs.items()}
 
-    __slots__ = ("values",)
 
-    def __init__(self, values: Dict[int, int]):
-        self.values = {int(k): int(v) for k, v in values.items()}
+class DimensionVector(Frozen):
+    """Integer-valued function on the vertex set.
+
+    Immutable, so dimension vectors can be hashed, shared and kept in the
+    invariants a quiver caches; ``values`` is a read-only view.
+    """
+
+    __slots__ = ("values", "_values")
+
+    def __init__(self, values: Mapping[int, int]):
+        vals = {int(k): int(v) for k, v in values.items()}
+        object.__setattr__(self, "_values", vals)       # the hot constructor skips _init
+        object.__setattr__(self, "values", MappingProxyType(vals))
 
     @classmethod
     def zero(cls, quiver: Quiver) -> "DimensionVector":
@@ -142,44 +199,48 @@ class DimensionVector:
 
     @classmethod
     def unit(cls, quiver: Quiver, x: int) -> "DimensionVector":
-        d = cls.zero(quiver)
-        d.values[x] = 1
-        return d
+        return cls.zero(quiver).replace(x, 1)
+
+    def replace(self, x: int, value: int) -> "DimensionVector":
+        """The same vector with the entry at x set to value."""
+        vals = dict(self._values)
+        vals[x] = value
+        return DimensionVector(vals)
 
     def __getitem__(self, x: int) -> int:
-        return self.values.get(x, 0)
+        return self._values.get(x, 0)
 
     def __add__(self, other: "DimensionVector") -> "DimensionVector":
-        keys = set(self.values) | set(other.values)
+        keys = set(self._values) | set(other._values)
         return DimensionVector({k: self[k] + other[k] for k in keys})
 
     def __sub__(self, other: "DimensionVector") -> "DimensionVector":
-        keys = set(self.values) | set(other.values)
+        keys = set(self._values) | set(other._values)
         return DimensionVector({k: self[k] - other[k] for k in keys})
 
     def scale(self, c: int) -> "DimensionVector":
-        return DimensionVector({k: c * v for k, v in self.values.items()})
+        return DimensionVector({k: c * v for k, v in self._values.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DimensionVector):
             return NotImplemented
-        keys = set(self.values) | set(other.values)
+        keys = set(self._values) | set(other._values)
         return all(self[k] == other[k] for k in keys)
 
     def __hash__(self):
-        return hash(tuple(sorted((k, v) for k, v in self.values.items() if v)))
+        return hash(tuple(sorted((k, v) for k, v in self._values.items() if v)))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return all(v == 0 for v in self._values.values())
 
     def support(self) -> List[int]:
-        return sorted(k for k, v in self.values.items() if v)
+        return sorted(k for k, v in self._values.items() if v)
 
     def as_tuple(self, vertices: Sequence[int]) -> Tuple[int, ...]:
         return tuple(self[v] for v in vertices)
 
     def __repr__(self):
-        items = ", ".join("%d:%d" % (k, self.values[k]) for k in sorted(self.values))
+        items = ", ".join("%d:%d" % (k, self._values[k]) for k in sorted(self._values))
         return "Dim(%s)" % items
 
 
@@ -307,11 +368,12 @@ def euler_matrix(q: Quiver) -> RationalMatrix:
 
 def euler_form(q: Quiver, alpha: DimensionVector, beta: DimensionVector) -> int:
     """Sum over vertices of a(x)b(x) minus sum over arrows of a(ta)b(ha)."""
+    vset = set(q.vertices)
     for v in alpha.values:
-        if v not in set(q.vertices):
+        if v not in vset:
             raise DomainMismatch("dimension vector uses unknown vertex %r" % v)
     for v in beta.values:
-        if v not in set(q.vertices):
+        if v not in vset:
             raise DomainMismatch("dimension vector uses unknown vertex %r" % v)
     total = sum(alpha[x] * beta[x] for x in q.vertices)
     total -= sum(alpha[a.tail] * beta[a.head] for a in q.arrows)
@@ -323,7 +385,14 @@ def tits_form(q: Quiver, alpha: DimensionVector) -> int:
 
 
 def null_root(q: Quiver) -> DimensionVector:
-    """Minimal positive radical vector of the Tits form on a Euclidean quiver."""
+    """Minimal positive radical vector of the Tits form on a Euclidean quiver.
+
+    Solved once per quiver object; a non-Euclidean quiver raises on every call.
+    """
+    return q.cached("null_root", _solve_null_root)
+
+
+def _solve_null_root(q: Quiver) -> DimensionVector:
     gt = validate_and_classify(q)
     if not gt.is_euclidean():
         raise NotEuclidean("null root requires a Euclidean underlying graph, got %s" % gt)

@@ -4,7 +4,7 @@ Coxeter translation, and the duality functor."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, Tuple
 
 from .errors import NotAdmissible, NonzeroOnFixedVertex, NotSinkOrSource
 from .linalg import RationalMatrix, column_space_complement, kernel_basis
@@ -27,9 +27,7 @@ def reflect_dim(q: Quiver, x: int, alpha: DimensionVector):
     for a in q.arrows_at(x):
         other = a.tail if a.head == x else a.head
         total += alpha[other]
-    new = DimensionVector(dict(alpha.values))
-    new.values[x] = total - alpha[x]
-    return q.reverse_arrows_at(x), new
+    return q.reverse_arrows_at(x), alpha.replace(x, total - alpha[x])
 
 
 def reflect_pair_dim(sq: SymmetricQuiver, x: int, alpha: DimensionVector):
@@ -98,8 +96,7 @@ def reflect_rep(q: Quiver, x: int, direction: str, v: Representation):
                     stacked[i, off + j] = b[i, j]
             off += b.cols
         kb = kernel_basis(stacked)
-        new_dim = DimensionVector(dict(v.dim.values))
-        new_dim.values[x] = len(kb)
+        new_dim = v.dim.replace(x, len(kb))
         qr = q.reverse_arrows_at(x)
         mats = {}
         for a in q.arrows:
@@ -130,8 +127,7 @@ def reflect_rep(q: Quiver, x: int, direction: str, v: Representation):
                     stacked[off + i, j] = b[i, j]
             off += b.rows
         proj, _comp = column_space_complement(stacked)
-        new_dim = DimensionVector(dict(v.dim.values))
-        new_dim.values[x] = proj.rows
+        new_dim = v.dim.replace(x, proj.rows)
         qr = q.reverse_arrows_at(x)
         mats = {}
         for a in q.arrows:
@@ -163,9 +159,13 @@ def reflect_pair_rep(sq: SymmetricQuiver, x: int, direction: str, v: Representat
     return sq.with_base(q2), v2
 
 
-def _admissible_numbering(q: Quiver, direction: str) -> List[int]:
+def _admissible_numbering(q: Quiver, direction: str) -> Tuple[int, ...]:
     """Ascending-id vertex order that is a valid sink (plus) or source
-    (minus) sequence."""
+    (minus) sequence; computed once per quiver and direction."""
+    return q.cached(("numbering", direction), lambda q: _numbering(q, direction))
+
+
+def _numbering(q: Quiver, direction: str) -> Tuple[int, ...]:
     order = []
     cur = q
     remaining = set(q.vertices)
@@ -180,16 +180,20 @@ def _admissible_numbering(q: Quiver, direction: str) -> List[int]:
         order.append(pick)
         cur = cur.reverse_arrows_at(pick)
         remaining.discard(pick)
-    return order
+    return tuple(order)
 
 
 def coxeter_dim(q: Quiver, alpha: DimensionVector, direction: str) -> DimensionVector:
-    """Full reflection word along the ascending admissible numbering."""
-    cur_q = q
-    cur = alpha
+    """Full reflection word along the ascending admissible numbering.
+
+    The reflection at x reads only the neighbours of x, which reversing
+    arrows leaves unchanged, so the word runs on one dict of entries without
+    building the reflected quivers.
+    """
+    vals = dict(alpha.values)
     for x in _admissible_numbering(q, direction):
-        cur_q, cur = reflect_dim(cur_q, x, cur)
-    return cur
+        vals[x] = sum(vals.get(y, 0) for y in q.neighbours(x)) - vals.get(x, 0)
+    return DimensionVector(vals)
 
 
 def coxeter_rep(q: Quiver, v: Representation, direction: str) -> Representation:

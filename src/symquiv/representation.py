@@ -294,14 +294,6 @@ class GroupElement:
     blocks: Dict[int, RationalMatrix]        # on the positive vertices, det 1
     fixed_blocks: Dict[int, RationalMatrix]  # form-preserving at fixed vertices
 
-    def block_at(self, x: int) -> RationalMatrix:
-        if x in self.blocks:
-            return self.blocks[x]
-        if x in self.fixed_blocks:
-            return self.fixed_blocks[x]
-        partner = self.sq.sv(x)
-        return _inverse(self.blocks[partner]).transpose()
-
 
 def identity_group_element(sq: SymmetricQuiver, flavor: str,
                            dim: DimensionVector) -> GroupElement:
@@ -375,18 +367,40 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def act(g: GroupElement, sr: StructuredRepresentation) -> StructuredRepresentation:
-    """Base change: arrow matrices by g_h V(a) g_t^{-1}, fixed ones by congruence."""
+    """Base change: arrow matrices by g_h V(a) g_t^{-1}, fixed ones by congruence.
+
+    g acts at a negative vertex x by the inverse transpose of its block at
+    sigma x, so the inverse of g there is that block transposed.  Each block
+    is inverted at most once per call.
+    """
     sq = sr.sq
+    inverses: Dict[int, RationalMatrix] = {}
+
+    def inverse(x: int, block: RationalMatrix) -> RationalMatrix:
+        if x not in inverses:
+            inverses[x] = _inverse(block)
+        return inverses[x]
+
+    def g_at(x: int) -> RationalMatrix:
+        if x in g.blocks:
+            return g.blocks[x]
+        if x in g.fixed_blocks:
+            return g.fixed_blocks[x]
+        return inverse(sq.sv(x), g.blocks[sq.sv(x)]).transpose()
+
+    def g_inverse_at(x: int) -> RationalMatrix:
+        if x in g.blocks:
+            return inverse(x, g.blocks[x])
+        if x in g.fixed_blocks:
+            return inverse(x, g.fixed_blocks[x])
+        return g.blocks[sq.sv(x)].transpose()
+
     mats = {}
     for name in sq.a_plus:
         a = sq.base.arrow_by_name[name]
-        gh = g.block_at(a.head)
-        gt = g.block_at(a.tail)
-        mats[name] = gh * sr.matrices[name] * _inverse(gt)
+        mats[name] = g_at(a.head) * sr.matrices[name] * g_inverse_at(a.tail)
     fixed = {}
     for name in sq.a_fixed:
-        a = sq.base.arrow_by_name[name]
-        gt = g.block_at(a.tail)
-        gti = _inverse(gt)
+        gti = g_inverse_at(sq.base.arrow_by_name[name].tail)
         fixed[name] = gti.transpose() * sr.fixed_matrices[name] * gti
     return StructuredRepresentation(sq, sr.flavor, sr.dim, mats, fixed)

@@ -301,9 +301,8 @@ def chain_interval_module(sq: SymmetricQuiver, j: int, i: int) -> Representation
     n = len(order)
     if not (1 <= j <= i <= n):
         raise ValidationError("interval out of range")
-    dim = DimensionVector({v: 0 for v in sq.base.vertices})
-    for pos in range(j, i + 1):
-        dim.values[order[pos - 1]] = 1
+    inside = set(order[j - 1:i])
+    dim = DimensionVector({v: int(v in inside) for v in sq.base.vertices})
     mats = {}
     for a in sq.base.arrows:
         if dim[a.tail] and dim[a.head]:
@@ -420,7 +419,7 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
             if d[x] % 2:
                 return []
     orbits = tau_orbits(sq)
-    dec = canonical_decomposition(sq, d, orbits=orbits)
+    dec = canonical_decomposition(sq, d)
     out: List[GeneratorDescriptor] = []
     # the coefficient family of the parameter pencil
     pen = pencil_templates(sq)

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import (NotContravariant, NotInvolutive, PartitionViolation,
                      UnsupportedSymmetricType, NotAdmissible)
-from .quiver import DimensionVector, Quiver, validate_and_classify
+from .quiver import DimensionVector, Frozen, Quiver, validate_and_classify
 
 SYMPLECTIC = "sp"
 ORTHOGONAL = "o"
+PARTS = ("v_plus", "v_fixed", "v_minus", "a_plus", "a_fixed", "a_minus")
 
 
 @dataclass(frozen=True)
@@ -30,16 +32,24 @@ class SymmetricType:
         return "%s k=%d l=%d" % (self.tag, self.k, self.l)
 
 
-class SymmetricQuiver:
-    """A quiver with a contravariant involution on vertices and arrows."""
+class SymmetricQuiver(Frozen):
+    """A quiver with a contravariant involution on vertices and arrows.
 
-    def __init__(self, base: Quiver, sigma_v: Dict[int, int], sigma_a: Dict[str, str]):
-        self.base = base
-        self.sigma_v = {int(k): int(v) for k, v in sigma_v.items()}
-        self.sigma_a = {str(k): str(v) for k, v in sigma_a.items()}
+    Immutable, like its base quiver; invariants derived from it (the
+    translation orbits) are kept per object through :meth:`cached`.
+    """
+
+    __slots__ = ("base", "sigma_v", "sigma_a", "v_plus", "v_fixed", "v_minus",
+                 "a_plus", "a_fixed", "a_minus", "_memo")
+
+    def __init__(self, base: Quiver, sigma_v: Mapping[int, int], sigma_a: Mapping[str, str]):
+        self._init(base=base,
+                   sigma_v=MappingProxyType({int(k): int(v) for k, v in sigma_v.items()}),
+                   sigma_a=MappingProxyType({str(k): str(v) for k, v in sigma_a.items()}),
+                   _memo={})
         self._validate()
-        (self.v_plus, self.v_fixed, self.v_minus,
-         self.a_plus, self.a_fixed, self.a_minus) = self._partition()
+        parts = self._partition()
+        self._init(**{key: tuple(part) for key, part in zip(PARTS, parts)})
 
     # -- involution --------------------------------------------------------
     def sv(self, x: int) -> int:
@@ -164,11 +174,7 @@ class SymmetricQuiver:
 def validate_symmetric(q: Quiver, sigma_v: Dict[int, int], sigma_a: Dict[str, str]):
     """Validate and return the symmetric quiver plus its canonical partitions."""
     sq = SymmetricQuiver(q, sigma_v, sigma_a)
-    partitions = {
-        "v_plus": sq.v_plus, "v_fixed": sq.v_fixed, "v_minus": sq.v_minus,
-        "a_plus": sq.a_plus, "a_fixed": sq.a_fixed, "a_minus": sq.a_minus,
-    }
-    return sq, partitions
+    return sq, {key: list(getattr(sq, key)) for key in PARTS}
 
 
 def delta(sq: SymmetricQuiver, alpha: DimensionVector) -> DimensionVector:

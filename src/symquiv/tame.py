@@ -4,23 +4,23 @@ symplectic and orthogonal generic decompositions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (IndexOutOfOrbit, NotRegular, NotSymmetric,
                      ParityViolation, UnsupportedSymmetricType)
 from .linalg import RationalMatrix, solve
 from .presentation import PathMatrix, module_from_presentation
-from .quiver import DimensionVector, Quiver, defect, null_root, tits_form
+from .quiver import DimensionVector, Quiver, defect, euler_form, null_root, tits_form
 from .reflection import MINUS, PLUS, coxeter_dim, coxeter_rep, dual_rep
 from .representation import Representation
 from .symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver,
                         _cycle_order, classify_symmetric)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pole:
     kind: str            # 'vertex' or 'edge'
     index: int           # polygon index (for an edge, the anchor of {i, i+1})
@@ -28,13 +28,13 @@ class Pole:
     fixed_arrow: Optional[str] = None    # sigma-fixed arrow met by the support
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polygon:
     name: str
-    dims: List[DimensionVector]          # tau-plus cyclic order
-    sigma: Optional[List[int]]           # index involution, None when paired away
+    dims: Tuple[DimensionVector, ...]    # tau-plus cyclic order
+    sigma: Optional[Tuple[int, ...]]     # index involution, None when paired away
     partner: Optional[str] = None        # polygon carrying the delta images
-    poles: List[Pole] = field(default_factory=list)
+    poles: Tuple[Pole, ...] = ()
 
     @property
     def rank(self) -> int:
@@ -49,7 +49,7 @@ class Polygon:
         return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class TauOrbits:
     sq: SymmetricQuiver
     polygons: List[Polygon]
@@ -88,7 +88,7 @@ def _candidate_regular_simples(q: Quiver) -> List[DimensionVector]:
         alpha = DimensionVector(dict(zip(verts, combo)))
         if alpha.is_zero() or alpha == h:
             continue
-        if defect(q, alpha) != 0:
+        if euler_form(q, h, alpha) != 0:  # the defect of alpha
             continue
         if tits_form(q, alpha) != 1:
             continue
@@ -98,7 +98,15 @@ def _candidate_regular_simples(q: Quiver) -> List[DimensionVector]:
 
 def tau_orbits(sq: SymmetricQuiver) -> TauOrbits:
     """Orbits of the translation on nonhomogeneous simple regular dimension
-    vectors, anchored and oriented deterministically."""
+    vectors, anchored and oriented deterministically.
+
+    Computed once per symmetric quiver object; the polygons are frozen, and
+    each call returns its own list of them.
+    """
+    return TauOrbits(sq, list(sq.cached("tau_orbits", _polygons)))
+
+
+def _polygons(sq: SymmetricQuiver) -> Tuple[Polygon, ...]:
     st = classify_symmetric(sq)
     if st.tag == "FiniteA":
         raise UnsupportedSymmetricType("translation orbits need a tame quiver")
@@ -129,66 +137,50 @@ def tau_orbits(sq: SymmetricQuiver) -> TauOrbits:
             total = total + e
         if total == h:
             orbits.append(orbit)
-    # anchor and pair the orbits
-    polygons: List[Polygon] = []
     orbits.sort(key=lambda o: (-len(o), o[0].as_tuple(q.vertices)))
     names = ["delta", "delta1", "delta2"]
+    polygons: List[Polygon] = []
     for oi, orbit in enumerate(orbits):
-        poly = Polygon(names[oi], list(orbit), None)
-        polygons.append(poly)
-    # locate delta images
-    for oi, poly in enumerate(polygons):
-        r = poly.rank
-        img = sq.delta(poly.dims[0])
-        target = None
-        for oj, other in enumerate(polygons):
-            if img in other.dims:
-                target = oj
-                break
+        # locate the delta image of the orbit
+        img = sq.delta(orbit[0])
+        target = next((oj for oj, other in enumerate(orbits) if img in other), None)
         assert target is not None, "delta must permute the orbits"
-        if target == oi:
-            sigma = []
-            for i in range(r):
-                di = sq.delta(poly.dims[i])
-                sigma.append(poly.dims.index(di))
-            poly.sigma = sigma
-        else:
-            poly.partner = polygons[target].name
-    # rotate self-paired polygons so the anchor pole sits at index 0
-    for poly in polygons:
-        if poly.sigma is None:
+        if target != oi:
+            polygons.append(Polygon(names[oi], tuple(orbit), None, partner=names[target]))
             continue
-        r = poly.rank
-        fixed = [i for i in range(r) if poly.sigma[i] == i]
+        # rotate a self-paired polygon so the anchor pole sits at index 0
+        r = len(orbit)
+        sigma = _index_involution(sq, orbit)
+        fixed = [i for i in range(r) if sigma[i] == i]
         if fixed:
-            anchor = min(fixed, key=lambda i: poly.dims[i].as_tuple(q.vertices))
+            anchor = min(fixed, key=lambda i: orbit[i].as_tuple(q.vertices))
         else:
-            edges = [i for i in range(r) if poly.sigma[i] == (i + 1) % r]
-            anchor = min(edges, key=lambda i: poly.dims[i].as_tuple(q.vertices))
-        poly.dims = poly.dims[anchor:] + poly.dims[:anchor]
-        sigma = []
-        for i in range(r):
-            di = sq.delta(poly.dims[i])
-            sigma.append(poly.dims.index(di))
-        poly.sigma = sigma
-        poly.poles = _find_poles(sq, poly)
-    return TauOrbits(sq, polygons)
+            edges = [i for i in range(r) if sigma[i] == (i + 1) % r]
+            anchor = min(edges, key=lambda i: orbit[i].as_tuple(q.vertices))
+        dims = tuple(orbit[anchor:] + orbit[:anchor])
+        sigma = _index_involution(sq, dims)
+        polygons.append(Polygon(names[oi], dims, sigma,
+                                poles=_find_poles(sq, dims, sigma)))
+    return tuple(polygons)
 
 
-def _find_poles(sq: SymmetricQuiver, poly: Polygon) -> List[Pole]:
+def _index_involution(sq: SymmetricQuiver, dims: Sequence[DimensionVector]) -> Tuple[int, ...]:
+    return tuple(dims.index(sq.delta(e)) for e in dims)
+
+
+def _find_poles(sq: SymmetricQuiver, dims: Tuple[DimensionVector, ...],
+                sigma: Tuple[int, ...]) -> Tuple[Pole, ...]:
     poles: List[Pole] = []
-    r = poly.rank
-    assert poly.sigma is not None
+    r = len(dims)
     for i in range(r):
-        if poly.sigma[i] == i:
-            poles.append(_pole_data(sq, poly, "vertex", i))
-        if poly.sigma[i] == (i + 1) % r and r > 1:
-            poles.append(_pole_data(sq, poly, "edge", i))
-    return poles
+        if sigma[i] == i:
+            poles.append(_pole_data(sq, dims[i], "vertex", i))
+        if sigma[i] == (i + 1) % r and r > 1:
+            poles.append(_pole_data(sq, dims[i], "edge", i))
+    return tuple(poles)
 
 
-def _pole_data(sq: SymmetricQuiver, poly: Polygon, kind: str, index: int) -> Pole:
-    e = poly.dims[index]
+def _pole_data(sq: SymmetricQuiver, e: DimensionVector, kind: str, index: int) -> Pole:
     for x in sq.v_fixed:
         if e[x] != 0:
             if kind == "vertex":
@@ -215,8 +207,7 @@ class CanonicalDecomposition:
 
 
 def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector,
-                            flavor: Optional[str] = None,
-                            orbits: Optional[TauOrbits] = None) -> CanonicalDecomposition:
+                            flavor: Optional[str] = None) -> CanonicalDecomposition:
     """Unique expression of a regular symmetric vector as a multiple of the
     null root plus labelled orbit contributions, normalized so every orbit
     has a zero label."""
@@ -225,7 +216,7 @@ def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector,
         raise NotSymmetric("the input vector is not sigma-symmetric")
     if defect(q, d) != 0:
         raise NotRegular("the input vector has nonzero defect")
-    orbits = orbits or tau_orbits(sq)
+    orbits = tau_orbits(sq)
     h = null_root(q)
     columns: List[DimensionVector] = [h]
     owners: List[Tuple[int, int]] = [(-1, -1)]
@@ -392,24 +383,21 @@ def _polygon_partial(lp: LabelledPolygon) -> DimensionVector:
     return acc
 
 
-def generic_decomposition(sq: SymmetricQuiver, d: DimensionVector, mode: str,
-                          orbits: Optional[TauOrbits] = None):
+def generic_decomposition(sq: SymmetricQuiver, d: DimensionVector, mode: str):
     """Summands of the generic, symplectic-generic or orthogonal-generic
     decomposition, as (dimension vector, multiplicity) pairs.
 
     Internal recipes for module realization ride along on the summand
     records returned by :func:`generic_summands`.
     """
-    return [(s.dim, s.mult) for s in generic_summands(sq, d, mode, orbits)]
+    return [(s.dim, s.mult) for s in generic_summands(sq, d, mode)]
 
 
-def generic_summands(sq: SymmetricQuiver, d: DimensionVector, mode: str,
-                     orbits: Optional[TauOrbits] = None) -> List[Summand]:
+def generic_summands(sq: SymmetricQuiver, d: DimensionVector, mode: str) -> List[Summand]:
     if mode not in ("plain", SYMPLECTIC, ORTHOGONAL):
         raise ValueError("mode must be plain, sp or o")
-    orbits = orbits or tau_orbits(sq)
     flavor = mode if mode in (SYMPLECTIC, ORTHOGONAL) else None
-    dec = canonical_decomposition(sq, d, flavor=flavor, orbits=orbits)
+    dec = canonical_decomposition(sq, d, flavor=flavor)
     h = null_root(sq.base)
     out: List[Summand] = []
     h_budget = dec.p
@@ -801,15 +789,14 @@ def realize_summand(sq: SymmetricQuiver, orbits: TauOrbits, summand: Summand,
     raise IndexOutOfOrbit("unknown summand recipe %r" % (summand.recipe,))
 
 
-def tame_regular_module(sq: SymmetricQuiver, which: Tuple,
-                        orbits: Optional[TauOrbits] = None) -> Representation:
+def tame_regular_module(sq: SymmetricQuiver, which: Tuple) -> Representation:
     """Named regular indecomposables of a canonical tame symmetric quiver.
 
     ``which`` is ('E', i, j), ('E1', i, j), ('E2', i, j) for the module with
     socle index i and closed orbit interval [i, j] on the respective polygon,
     or ('Vhom', phi, psi) for the homogeneous module of null-root dimension.
     """
-    orbits = orbits or tau_orbits(sq)
+    orbits = tau_orbits(sq)
     tag = which[0]
     if tag == "Vhom":
         _, phi, psi = which

@@ -201,7 +201,7 @@ def test_criterion_06_decomposition_example():
 
     def summary(mode):
         out = {}
-        for s in generic_summands(sq, d, mode, orbits):
+        for s in generic_summands(sq, d, mode):
             key = s.dim.as_tuple(verts)
             out[key] = out.get(key, 0) + s.mult
         return out
@@ -220,7 +220,7 @@ def test_criterion_06_decomposition_example():
     assert chain.as_tuple(verts) not in oo
     for mode in ("plain", SYMPLECTIC, ORTHOGONAL):
         total = d.scale(0)
-        for s in generic_summands(sq, d, mode, orbits):
+        for s in generic_summands(sq, d, mode):
             total = total + s.dim.scale(s.mult)
         assert total == d
     print("criterion 6 (worked decomposition example): PASS")
@@ -283,13 +283,12 @@ def test_criterion_08_reflection_duality_ratios():
         assert hits >= 3 and len(ratios) == 1
         checked += 1
     sq11 = families.a11(0, 2)
-    orbits = tau_orbits(sq11)
     from symquiv.tame import tame_regular_module
     d = null_root(sq11.base).scale(2)
-    mods = [tame_regular_module(sq11, ("E", 0, 0), orbits),
-            tame_regular_module(sq11, ("E", 1, 1), orbits),
-            tame_regular_module(sq11, ("E", 0, 1), orbits),
-            tame_regular_module(sq11, ("Vhom", 1, 1), orbits)]
+    mods = [tame_regular_module(sq11, ("E", 0, 0)),
+            tame_regular_module(sq11, ("E", 1, 1)),
+            tame_regular_module(sq11, ("E", 0, 1)),
+            tame_regular_module(sq11, ("Vhom", 1, 1))]
     for v in mods:
         tv = coxeter_rep(sq11.base, dual_rep(sq11, v), MINUS)
         ratios = set()
@@ -337,7 +336,7 @@ def test_criterion_09_ext_vanishing_of_generic_decompositions():
         for trial in range(30):
             d = _random_regular(rng, sq, orbits, p=2)
             for mode in (SYMPLECTIC, ORTHOGONAL):
-                summands = generic_summands(sq, d, mode, orbits)
+                summands = generic_summands(sq, d, mode)
                 mods = [realize_summand(sq, orbits, s) for s in summands]
                 for m, s in zip(mods, summands):
                     assert m.dim == s.dim

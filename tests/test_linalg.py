@@ -6,7 +6,7 @@ import pytest
 from symquiv.errors import NotSkewSymmetric, OddDimension
 from symquiv.linalg import (RationalMatrix, determinant, interpolate_polynomial,
                             kernel_basis, linalg_kit, pfaffian,
-                            pfaffian_matching_sum, rank)
+                            pfaffian_matching_sum, rank, solve)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -204,6 +204,16 @@ def test_pfaffian_large_uses_elimination():
     assert pfaffian(m) ** 2 == determinant(m)
 
 
+def _vandermonde_interpolation(pts):
+    """Oracle: solve the Vandermonde system, then drop trailing zeros."""
+    n = len(pts)
+    vm = RationalMatrix(n, n, [Fraction(x) ** j for x, _ in pts for j in range(n)])
+    sol = solve(vm, [Fraction(y) for _, y in pts])
+    while sol and sol[-1] == 0:
+        sol.pop()
+    return sol
+
+
 def test_interpolation_roundtrip():
     coeffs = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(7)]
     pts = []
@@ -211,6 +221,26 @@ def test_interpolation_roundtrip():
         y = sum(c * x ** i for i, c in enumerate(coeffs))
         pts.append((Fraction(x), y))
     assert interpolate_polynomial(pts) == coeffs
+    assert interpolate_polynomial([]) == []
+    assert interpolate_polynomial([(0, 0), (1, 0)]) == []
+    rng = random.Random(4378)
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        xs = set()
+        while len(xs) < n:
+            xs.add(Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+        pts = [(x, Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
+               for x in sorted(xs, key=lambda _: rng.random())]
+        got = interpolate_polynomial(pts)
+        assert got == _vandermonde_interpolation(pts)
+        for x, y in pts:
+            assert sum(c * x ** i for i, c in enumerate(got)) == y
+    # integer nodes 0..d and integer values, as the pencil solver uses them
+    for d in range(8):
+        coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6)) for _ in range(d + 1)]
+        pts = [(Fraction(t), sum(c * t ** i for i, c in enumerate(coeffs)))
+               for t in range(d + 1)]
+        assert interpolate_polynomial(pts) == _vandermonde_interpolation(pts)
 
 
 def test_kernel_deterministic_order():

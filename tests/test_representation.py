@@ -134,3 +134,38 @@ def test_identity_action_fixes():
     out = act(g, sr)
     assert out.matrices == sr.matrices
     assert out.fixed_matrices == sr.fixed_matrices
+
+
+def test_act_inverts_each_block_once(monkeypatch):
+    from symquiv import representation
+    real_inverse = representation._inverse
+    # a202: a fixed arrow leaves a negative vertex; a00: a positive arrow
+    # enters one; a11: a fixed vertex and a fixed arrow
+    for sq in (families.a202(2, 2), families.a00(2), families.a11(2, 2)):
+        dim = DimensionVector({v: 2 for v in sq.base.vertices})
+        for flavor in (SYMPLECTIC, ORTHOGONAL):
+            sr = random_structured(sq, flavor, dim, seed=3)
+            g = random_group_element(sq, flavor, dim, seed=4)
+            calls = []
+            monkeypatch.setattr(representation, "_inverse",
+                                lambda m: calls.append(m) or real_inverse(m))
+            out = act(g, sr)
+            monkeypatch.undo()
+            assert 0 < len(calls) <= len(g.blocks) + len(g.fixed_blocks)
+
+            # oracle: g at every vertex, each inverse taken afresh
+            def g_at(x):
+                if x in g.blocks:
+                    return g.blocks[x]
+                if x in g.fixed_blocks:
+                    return g.fixed_blocks[x]
+                return real_inverse(g.blocks[sq.sv(x)]).transpose()
+
+            for name in sq.a_plus:
+                a = sq.base.arrow_by_name[name]
+                assert out.matrices[name] == (g_at(a.head) * sr.matrices[name]
+                                              * real_inverse(g_at(a.tail)))
+            for name in sq.a_fixed:
+                gti = real_inverse(g_at(sq.base.arrow_by_name[name].tail))
+                assert out.fixed_matrices[name] == (gti.transpose()
+                                                    * sr.fixed_matrices[name] * gti)

@@ -40,11 +40,11 @@ def test_bgp_dimension_identity_on_tame_regulars():
         for poly in orbits.polygons:
             tag = {"delta": "E", "delta1": "E1", "delta2": "E2"}[poly.name]
             for i in range(poly.rank):
-                mods.append(tame_regular_module(sq, (tag, i, i), orbits))
+                mods.append(tame_regular_module(sq, (tag, i, i)))
                 if poly.rank > 2:
                     mods.append(tame_regular_module(
-                        sq, (tag, i, (i + 1) % poly.rank), orbits))
-        mods.append(tame_regular_module(sq, ("Vhom", 1, 1), orbits))
+                        sq, (tag, i, (i + 1) % poly.rank)))
+        mods.append(tame_regular_module(sq, ("Vhom", 1, 1)))
         for v in mods:
             if v.dim.support() == [x]:
                 continue
@@ -149,7 +149,7 @@ def test_larger_family_instances():
                 if poly.partner is not None:
                     d = d + sq.delta(poly.dims[i]).scale(lab)
         for mode in (SYMPLECTIC, ORTHOGONAL):
-            summands = generic_summands(sq, d, mode, orbits)
+            summands = generic_summands(sq, d, mode)
             mods = [realize_summand(sq, orbits, s) for s in summands]
             for m, s in zip(mods, summands):
                 assert m.dim == s.dim
