@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Matrices hold `fractions.Fraction` entries; no floating point is used
-anywhere in the package.  The determinant and the Pfaffian clear
-denominators first and eliminate on Python ints.
+anywhere in the package.  Elimination clears row denominators first and
+runs on Python ints: one fraction-free Gauss-Jordan routine serves rref,
+rank, kernel, cokernel, solve, inverse and determinant, and the Pfaffian
+has its own skew elimination.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import List, NamedTuple, Optional, Sequence
 
-from .errors import NotSkewSymmetric, NotSquare, OddDimension
+from .errors import NotSkewSymmetric, NotSquare, OddDimension, ValidationError
 
 Rat = Fraction
 
@@ -187,115 +189,119 @@ class RationalMatrix:
         return True
 
 
+def _int_rows(rows: Sequence[Sequence[Fraction]]):
+    """Each row times the lcm of its denominators, as ints; and those lcms."""
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (s // x.denominator) for x in row]
+            for row, s in zip(rows, scales)], scales
+
+
+def _eliminate(a: List[List[int]], upward: bool = True):
+    """Fraction-free Gauss-Jordan elimination of int rows, in place.
+
+    Returns (a, pivot columns, swap sign, last pivot d).  Every update
+    ``(p*x - f*y) // prev`` divides exactly, since each entry is a minor of
+    the input (Bareiss 1968); the sweep over the rows above the pivot keeps
+    the pivot rows equal to d times the reduced row echelon form (Nakos,
+    Turner & Williams 1997), and the rows below the rank are zero.  With
+    ``upward`` false only the rows below the pivot are updated and the run
+    stops at the first column without a pivot: all the determinant needs.
+    """
+    n = len(a)
+    pivots: List[int] = []
+    sign = 1
+    prev = 1
+    for c in range(len(a[0]) if n else 0):
+        r = len(pivots)
+        if not a[r][c]:
+            p = next((i for i in range(r + 1, n) if a[i][c]), None)
+            if p is None:
+                if upward:
+                    continue
+                break
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        row = a[r]
+        piv = row[c]
+        lo = c if upward else c + 1      # left of lo a lower row is zero
+        tail = row[lo:]
+        for ai in a[r + 1:]:
+            f = ai[c]
+            ai[lo:] = [(piv * x - f * y) // prev for x, y in zip(ai[lo:], tail)]
+        if upward:
+            for ai in a[:r]:
+                f = ai[c]
+                ai[:] = [(piv * x - f * y) // prev for x, y in zip(ai, row)]
+        prev = piv
+        pivots.append(c)
+        if r + 1 == n:
+            break
+    return a, pivots, sign, prev
+
+
+def _reduced(rows: Sequence[Sequence[Fraction]]):
+    """(d*RREF int rows, pivot columns, d) of a matrix given by its rows."""
+    a, pivots, _, d = _eliminate(_int_rows(rows)[0])
+    return a, pivots, d
+
+
+def _rows(m: RationalMatrix) -> List[List[Fraction]]:
+    return [m.row(i) for i in range(m.rows)]
+
+
 def rref(m: RationalMatrix):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    a = m.copy()
-    pivots: List[int] = []
-    r = 0
-    for c in range(a.cols):
-        pivot_row = None
-        for i in range(r, a.rows):
-            if a[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            for j in range(a.cols):
-                a.data[r * a.cols + j], a.data[pivot_row * a.cols + j] = \
-                    a.data[pivot_row * a.cols + j], a.data[r * a.cols + j]
-        p = a[r, c]
-        if p != 1:
-            for j in range(c, a.cols):
-                a[r, j] = a[r, j] / p
-        for i in range(a.rows):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(c, a.cols):
-                    a[i, j] = a[i, j] - f * a[r, j]
-        pivots.append(c)
-        r += 1
-        if r == a.rows:
-            break
-    return a, pivots
+    a, pivots, d = _reduced(_rows(m))
+    return RationalMatrix(m.rows, m.cols, [Fraction(x, d) for row in a for x in row]), pivots
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_reduced(_rows(m))[1])
+
+
+def _kernel(a: List[List[int]], pivots: List[int], d: int, cols: int):
+    """Kernel basis and free columns of a reduced elimination."""
+    free = sorted(set(range(cols)) - set(pivots))
+    basis = []
+    for f in free:
+        v = [ZERO] * cols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = Fraction(-a[r][f], d)
+        basis.append(v)
+    return basis, free
 
 
 def kernel_basis(m: RationalMatrix) -> List[List[Fraction]]:
     """Basis of the right kernel, from the RREF free columns in ascending order."""
-    a, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -a[r, f]
-        basis.append(v)
-    return basis
+    return _kernel(*_reduced(_rows(m)), m.cols)[0]
 
 
 def column_space_complement(m: RationalMatrix):
     """Deterministic complement data for the column space of ``m``.
 
-    Returns (proj, complement_indices) where ``proj`` maps K^rows onto the
-    cokernel coordinates: reduce against an echelon basis of the column space
-    and read off the coordinates outside the pivot set, ascending.
+    Returns (proj, complement_indices): the indices are the coordinates
+    outside the pivot set of the echelon basis of the column space,
+    ascending, and ``proj`` maps K^rows onto them.  Reducing a standard
+    vector against that basis leaves minus a kernel entry at each
+    complement index, so the rows of ``proj`` are the kernel basis of the
+    transpose.
     """
-    ech, pivots = rref(m.transpose())
-    basis_rows = [ech.row(i) for i in range(len(pivots))]
-    comp = [i for i in range(m.rows) if i not in set(pivots)]
-    proj = RationalMatrix.zero(len(comp), m.rows)
-    for src in range(m.rows):
-        v = [ZERO] * m.rows
-        v[src] = ONE
-        for prow, pcol in zip(basis_rows, pivots):
-            if v[pcol]:
-                f = v[pcol]
-                for j in range(m.rows):
-                    if prow[j]:
-                        v[j] -= f * prow[j]
-        for out_i, c in enumerate(comp):
-            proj[out_i, src] = v[c]
-    return proj, comp
-
-
-def _lcm_denominator(xs: Sequence[Fraction]) -> int:
-    return lcm(*(x.denominator for x in xs)) if xs else 1
+    basis, comp = _kernel(*_reduced(_rows(m.transpose())), m.rows)
+    return RationalMatrix(len(comp), m.rows, [x for v in basis for x in v]), comp
 
 
 def determinant(m: RationalMatrix) -> Fraction:
     """Determinant via integer fraction-free (Bareiss) elimination.
 
     Each row is scaled by the lcm of its denominators, so the elimination
-    runs on Python ints and every division by the previous pivot is exact.
+    runs on Python ints; only the downward sweep is needed.
     """
     if not m.is_square():
         raise NotSquare("determinant of a non-square matrix")
-    n = m.rows
-    d = [_lcm_denominator(m.row(i)) for i in range(n)]
-    a = [[x.numerator * (d[i] // x.denominator) for x in m.row(i)] for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return ZERO
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        tail = a[k][k + 1:]
-        for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k]
-            ai[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(ai[k + 1:], tail)]
-        prev = pivot
-    return Fraction(sign * a[n - 1][n - 1] if n else 1, prod(d))
+    a, scales = _int_rows(_rows(m))
+    _, pivots, sign, d = _eliminate(a, upward=False)
+    return Fraction(sign * d, prod(scales)) if len(pivots) == m.rows else ZERO
 
 
 class LinalgKit(NamedTuple):
@@ -307,10 +313,14 @@ class LinalgKit(NamedTuple):
 
 def linalg_kit(m: RationalMatrix) -> LinalgKit:
     """Rank, determinant (square case), kernel basis and cokernel dimension."""
-    kb = kernel_basis(m)
-    r = m.cols - len(kb)
-    det = determinant(m) if m.is_square() else None
-    return LinalgKit(rank=r, det=det, kernel_basis=kb, cokernel_dim=m.rows - r)
+    a, scales = _int_rows(_rows(m))
+    _, pivots, sign, d = _eliminate(a)
+    r = len(pivots)
+    det = None
+    if m.is_square():
+        det = Fraction(sign * d, prod(scales)) if r == m.rows else ZERO
+    return LinalgKit(rank=r, det=det, kernel_basis=_kernel(a, pivots, d, m.cols)[0],
+                     cokernel_dim=m.rows - r)
 
 
 def pfaffian_matching_sum(m: RationalMatrix) -> Fraction:
@@ -350,9 +360,8 @@ def pfaffian(m: RationalMatrix) -> Fraction:
     """
     _check_skew(m)
     n = m.rows
-    d = [_lcm_denominator(m.row(i)) for i in range(n)]
-    a = [[x.numerator * (d[i] // x.denominator) * d[j] for j, x in enumerate(m.row(i))]
-         for i in range(n)]
+    a, d = _int_rows(_rows(m))
+    a = [[x * d[j] for j, x in enumerate(row)] for row in a]
     sign = 1
     prev = 1
     for k in range(0, n, 2):
@@ -391,29 +400,32 @@ def _check_skew(m: RationalMatrix) -> None:
 
 def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """One solution of m x = rhs, or None if inconsistent."""
-    aug = RationalMatrix.zero(m.rows, m.cols + 1)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            aug[i, j] = m[i, j]
-        aug[i, m.cols] = _frac(rhs[i])
-    ech, pivots = rref(aug)
+    a, pivots, d = _reduced([row + [_frac(rhs[i])] for i, row in enumerate(_rows(m))])
     if m.cols in pivots:
         return None
     x = [ZERO] * m.cols
     for r, c in enumerate(pivots):
-        x[c] = ech[r, m.cols]
+        x[c] = Fraction(a[r][m.cols], d)
     return x
+
+
+def inverse(m: RationalMatrix) -> RationalMatrix:
+    """Inverse of a square matrix, read off the reduction of [m | I]."""
+    if not m.is_square():
+        raise NotSquare("inverse of a non-square matrix")
+    n = m.rows
+    a, pivots, d = _reduced([row + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(_rows(m))])
+    if pivots[:n] != list(range(n)):
+        raise ValidationError("matrix is singular")
+    return RationalMatrix(n, n, [Fraction(x, d) for row in a for x in row[n:]])
 
 
 def coordinates_in_span(basis: List[List[Fraction]], vec: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """Coordinates of vec in the span of basis vectors (columns), or None."""
     if not basis:
         return [] if all(x == 0 for x in vec) else None
-    m = RationalMatrix.zero(len(vec), len(basis))
-    for j, b in enumerate(basis):
-        for i, x in enumerate(b):
-            m[i, j] = x
-    return solve(m, list(vec))
+    return solve(RationalMatrix.from_rows(basis).transpose(), list(vec))
 
 
 def interpolate_polynomial(points: Sequence) -> List[Fraction]:

@@ -179,15 +179,8 @@ def minimal_presentation(m: Representation) -> PathMatrix:
     gens: List[Tuple[int, List[Fraction]]] = []
     for x in q.vertices:
         arrows_in = sorted(q.arrows_into(x), key=lambda a: a.name)
-        width = sum(m.dim[a.tail] for a in arrows_in)
-        rad = RationalMatrix.zero(m.dim[x], width)
-        off = 0
-        for a in arrows_in:
-            b = m.matrices[a.name]
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    rad[i, off + j] = b[i, j]
-            off += b.cols
+        rad = (RationalMatrix.block([[m.matrices[a.name] for a in arrows_in]]) if arrows_in
+               else RationalMatrix.zero(m.dim[x], 0))
         for idx in _generator_complement(rad):
             vec = [Fraction(0)] * m.dim[x]
             vec[idx] = Fraction(1)
@@ -196,14 +189,14 @@ def minimal_presentation(m: Representation) -> PathMatrix:
     # pi: P0 -> M on path bases
     pi: Dict[int, RationalMatrix] = {}
     for z in q.vertices:
-        mat = RationalMatrix.zero(m.dim[z], p0.dim(z))
-        for j, (c, path) in enumerate(p0.basis[z]):
+        cols = []
+        for c, path in p0.basis[z]:
             vec = list(gens[c][1])
             for name in path:
                 vec = m.matrices[name].apply(vec)
-            for i, val in enumerate(vec):
-                mat[i, j] = val
-        pi[z] = mat
+            cols.append(vec)
+        pi[z] = (RationalMatrix.from_rows(cols).transpose() if cols
+                 else RationalMatrix.zero(m.dim[z], 0))
     # the syzygy as a subrepresentation of P0
     kb: Dict[int, List[List[Fraction]]] = {z: kernel_basis(pi[z]) for z in q.vertices}
     karrow: Dict[str, RationalMatrix] = {}
@@ -215,25 +208,15 @@ def minimal_presentation(m: Representation) -> PathMatrix:
             coords = coordinates_in_span(kb[a.head], img)
             assert coords is not None, "syzygy is not arrow-stable"
             cols.append(coords)
-        mat = RationalMatrix.zero(len(kb[a.head]), len(kb[a.tail]))
-        for j, col in enumerate(cols):
-            for i, val in enumerate(col):
-                mat[i, j] = val
-        karrow[a.name] = mat
+        karrow[a.name] = (RationalMatrix.from_rows(cols).transpose() if cols
+                          else RationalMatrix.zero(len(kb[a.head]), 0))
     # generators of the syzygy
     rows: List[int] = []
     row_vectors: List[Tuple[int, List[Fraction]]] = []
     for y in q.vertices:
         arrows_in = sorted(q.arrows_into(y), key=lambda a: a.name)
-        width = sum(len(kb[a.tail]) for a in arrows_in)
-        rad = RationalMatrix.zero(len(kb[y]), width)
-        off = 0
-        for a in arrows_in:
-            b = karrow[a.name]
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    rad[i, off + j] = b[i, j]
-            off += b.cols
+        rad = (RationalMatrix.block([[karrow[a.name] for a in arrows_in]]) if arrows_in
+               else RationalMatrix.zero(len(kb[y]), 0))
         for idx in _generator_complement(rad):
             rows.append(y)
             row_vectors.append((y, kb[y][idx]))

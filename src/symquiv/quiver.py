@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple, TypeVar
@@ -401,26 +402,14 @@ def _solve_null_root(q: Quiver) -> DimensionVector:
     kb = kernel_basis(sym)
     assert len(kb) == 1, "radical of a Euclidean Tits form is one-dimensional"
     v = kb[0]
-    denoms = [x.denominator for x in v]
-    lcm = 1
-    for d in denoms:
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    denom = math.lcm(*(x.denominator for x in v))
+    ints = [int(x * denom) for x in v]
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     if any(x < 0 for x in ints):
         ints = [-x for x in ints]
     assert all(x > 0 for x in ints)
     return DimensionVector({v: ints[i] for i, v in enumerate(q.vertices)})
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def defect(q: Quiver, d: DimensionVector) -> int:

@@ -85,16 +85,8 @@ def reflect_rep(q: Quiver, x: int, direction: str, v: Representation):
         if not q.is_sink(x):
             raise NotSinkOrSource("plus reflection needs a sink, %r is not" % x)
         arrows = sorted(q.arrows_into(x), key=lambda a: a.name)
-        blocks = [v.matrices[a.name] for a in arrows]
-        tails = [a.tail for a in arrows]
-        total = sum(v.dim[t] for t in tails)
-        stacked = RationalMatrix.zero(v.dim[x], total)
-        off = 0
-        for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    stacked[i, off + j] = b[i, j]
-            off += b.cols
+        stacked = (RationalMatrix.block([[v.matrices[a.name] for a in arrows]]) if arrows
+                   else RationalMatrix.zero(v.dim[x], 0))
         kb = kernel_basis(stacked)
         new_dim = v.dim.replace(x, len(kb))
         qr = q.reverse_arrows_at(x)
@@ -103,12 +95,10 @@ def reflect_rep(q: Quiver, x: int, direction: str, v: Representation):
             if a.head != x:
                 mats[a.name] = v.matrices[a.name]
         off = 0
-        for a, t in zip(arrows, tails):
-            width = v.dim[t]
-            proj = RationalMatrix.zero(width, len(kb))
-            for col, vec in enumerate(kb):
-                for i in range(width):
-                    proj[i, col] = vec[off + i]
+        for a in arrows:
+            width = v.dim[a.tail]
+            proj = (RationalMatrix.from_rows([vec[off:off + width] for vec in kb]).transpose()
+                    if kb else RationalMatrix.zero(width, 0))
             mats[a.name] = proj  # reversed arrow x -> tail
             off += width
         return qr, Representation(qr, new_dim, mats)
@@ -116,16 +106,8 @@ def reflect_rep(q: Quiver, x: int, direction: str, v: Representation):
         if not q.is_source(x):
             raise NotSinkOrSource("minus reflection needs a source, %r is not" % x)
         arrows = sorted(q.arrows_out_of(x), key=lambda a: a.name)
-        heads = [a.head for a in arrows]
-        total = sum(v.dim[h] for h in heads)
-        stacked = RationalMatrix.zero(total, v.dim[x])
-        off = 0
-        for a, h in zip(arrows, heads):
-            b = v.matrices[a.name]
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    stacked[off + i, j] = b[i, j]
-            off += b.rows
+        stacked = (RationalMatrix.block([[v.matrices[a.name]] for a in arrows]) if arrows
+                   else RationalMatrix.zero(0, v.dim[x]))
         proj, _comp = column_space_complement(stacked)
         new_dim = v.dim.replace(x, proj.rows)
         qr = q.reverse_arrows_at(x)
@@ -134,12 +116,10 @@ def reflect_rep(q: Quiver, x: int, direction: str, v: Representation):
             if a.tail != x:
                 mats[a.name] = v.matrices[a.name]
         off = 0
-        for a, h in zip(arrows, heads):
-            height = v.dim[h]
-            incl = RationalMatrix.zero(proj.rows, height)
-            for j in range(height):
-                for i in range(proj.rows):
-                    incl[i, j] = proj[i, off + j]
+        for a in arrows:
+            height = v.dim[a.head]
+            incl = RationalMatrix(proj.rows, height, [e for i in range(proj.rows)
+                                                      for e in proj.row(i)[off:off + height]])
             mats[a.name] = incl  # reversed arrow head -> x
             off += height
         return qr, Representation(qr, new_dim, mats)

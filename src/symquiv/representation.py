@@ -10,7 +10,7 @@ from typing import Dict, Sequence
 
 from .errors import (AsymmetricDimension, BadInterval, OddSymplecticDimension,
                      QuiverMismatch, ShapeMismatch, ValidationError)
-from .linalg import RationalMatrix, linalg_kit
+from .linalg import RationalMatrix, inverse as _inverse, linalg_kit
 from .quiver import DimensionVector, Quiver
 from .symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver
 
@@ -229,24 +229,6 @@ class StructuredRepresentation:
 
     def __repr__(self):
         return "StructuredRepresentation(%s, %r)" % (self.flavor, self.dim)
-
-
-def _inverse(m: RationalMatrix) -> RationalMatrix:
-    n = m.rows
-    aug = RationalMatrix.zero(n, 2 * n)
-    for i in range(n):
-        for j in range(n):
-            aug[i, j] = m[i, j]
-        aug[i, n + i] = 1
-    from .linalg import rref
-    ech, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValidationError("matrix is singular")
-    inv = RationalMatrix.zero(n, n)
-    for i in range(n):
-        for j in range(n):
-            inv[i, j] = ech[i, n + j]
-    return inv
 
 
 def check_structured(sr: StructuredRepresentation) -> bool:

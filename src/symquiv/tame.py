@@ -7,13 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (IndexOutOfOrbit, NotRegular, NotSymmetric,
                      ParityViolation, UnsupportedSymmetricType)
 from .linalg import RationalMatrix, solve
 from .presentation import PathMatrix, module_from_presentation
-from .quiver import DimensionVector, Quiver, defect, euler_form, null_root, tits_form
+from .quiver import DimensionVector, Quiver, defect, null_root
 from .reflection import MINUS, PLUS, coxeter_dim, coxeter_rep, dual_rep
 from .representation import Representation
 from .symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver,
@@ -80,19 +81,23 @@ class LabelledPolygon:
 
 
 def _candidate_regular_simples(q: Quiver) -> List[DimensionVector]:
-    h = null_root(q)
+    """Vectors of the box [0, h] other than 0 and h with zero defect and Tits
+    form 1.  Both forms are evaluated on plain tuples: the defect is linear
+    with coefficients h(x) minus the sum of h over the tails of arrows into x."""
     verts = list(q.vertices)
-    ranges = [range(0, h[v] + 1) for v in verts]
+    h = null_root(q).as_tuple(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    arrows = [(pos[a.tail], pos[a.head]) for a in q.arrows]
+    coeffs = [h[i] - sum(h[t] for t, s in arrows if s == i) for i in range(len(verts))]
     out = []
-    for combo in product(*ranges):
-        alpha = DimensionVector(dict(zip(verts, combo)))
-        if alpha.is_zero() or alpha == h:
+    for x in product(*(range(k + 1) for k in h)):
+        if not any(x) or x == h:
             continue
-        if euler_form(q, h, alpha) != 0:  # the defect of alpha
+        if sum(map(mul, coeffs, x)) != 0:
             continue
-        if tits_form(q, alpha) != 1:
+        if sum(map(mul, x, x)) - sum(x[t] * x[s] for t, s in arrows) != 1:
             continue
-        out.append(alpha)
+        out.append(DimensionVector(dict(zip(verts, x))))
     return out
 
 
@@ -225,10 +230,7 @@ def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector,
             columns.append(poly.dims[i])
             owners.append((pi, i))
     verts = list(q.vertices)
-    mat = RationalMatrix.zero(len(verts), len(columns))
-    for j, col in enumerate(columns):
-        for i, v in enumerate(verts):
-            mat[i, j] = col[v]
+    mat = RationalMatrix.from_rows([col.as_tuple(verts) for col in columns]).transpose()
     rhs = [Fraction(d[v]) for v in verts]
     sol = solve(mat, rhs)
     if sol is None:

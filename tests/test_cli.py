@@ -143,9 +143,12 @@ def test_exit_codes():
 
 
 def test_console_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(FIX.parent.parent / "src"), env.get("PYTHONPATH")) if p)
     code = subprocess.run([sys.executable, "-m", "symquiv.cli", "lr",
                            "--lambda", "1", "--mu", "1", "--nu", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert code.returncode == 0
     assert code.stdout.strip() == "1"
 

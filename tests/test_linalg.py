@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from symquiv.errors import NotSkewSymmetric, OddDimension
-from symquiv.linalg import (RationalMatrix, determinant, interpolate_polynomial,
-                            kernel_basis, linalg_kit, pfaffian,
-                            pfaffian_matching_sum, rank, solve)
+from symquiv.errors import NotSkewSymmetric, OddDimension, ValidationError
+from symquiv.linalg import (RationalMatrix, column_space_complement, determinant,
+                            interpolate_polynomial, inverse, kernel_basis, linalg_kit,
+                            pfaffian, pfaffian_matching_sum, rank, rref, solve)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -178,24 +178,75 @@ def test_linalg_matches_sympy():
             return Fraction(0)
         return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
-    for trial in range(60):
-        rows = rng.randint(1, 12)
-        cols = rows if trial % 2 == 0 else rng.randint(1, 12)
+    def frac(x):
+        return Fraction(int(x.p), int(x.q))
+
+    for trial in range(100):
+        rows = rng.randint(0, 12)
+        cols = rows if trial % 2 == 0 else rng.randint(0, 12)
         data = [[entry() for _ in range(cols)] for _ in range(rows)]
-        if trial % 3 == 0:
+        if trial % 3 == 0 and cols:
             for r in data:
                 r[0] = Fraction(0)           # zero leading pivot column
         if trial % 5 == 0 and rows > 2:
             data[-1] = [x - 2 * y for x, y in zip(data[0], data[1])]  # rank drop
-        m = RationalMatrix.from_rows(data)
-        s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                          for r in data])
+        if trial % 7 == 0 and cols > 1:
+            for r in data:
+                r[-1] = r[0] * 3             # dependent column
+        m = RationalMatrix(rows, cols, [x for r in data for x in r])
+        s = sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator)
+                                      for r in data for x in r])
         assert rank(m) == s.rank()
-        assert kernel_basis(m) == [[Fraction(int(x.p), int(x.q)) for x in v]
-                                   for v in s.nullspace()]
+        assert kernel_basis(m) == [[frac(x) for x in v] for v in s.nullspace()]
+        ech, pivots = rref(m)
+        s_ech, s_pivots = s.rref()
+        assert pivots == list(s_pivots)
+        assert ech.data == [frac(x) for x in s_ech]
+        # cokernel: the pivots of the transpose's rref pick the column-space
+        # basis, and proj is the kernel basis of the transpose
+        proj, comp = column_space_complement(m)
+        assert comp == [i for i in range(rows) if i not in s.T.rref()[1]]
+        assert (proj.rows, proj.cols) == (len(comp), rows)
+        assert [proj.row(i) for i in range(proj.rows)] == [
+            [frac(x) for x in v] for v in s.T.nullspace()]
+        rhs = [entry() for _ in range(rows)]
+        if trial % 4 == 0 and cols:
+            rhs = m.apply([entry() for _ in range(cols)])   # consistent
+        try:
+            sol, params = s.gauss_jordan_solve(
+                sympy.Matrix(rows, 1, [sympy.Rational(x.numerator, x.denominator)
+                                       for x in rhs]))
+        except ValueError:
+            assert solve(m, rhs) is None
+        else:
+            sol = sol.subs({t: 0 for t in params})   # the free variables at zero
+            assert solve(m, rhs) == [frac(x) for x in sol]
         if rows == cols:
             det = s.det()
-            assert determinant(m) == Fraction(int(det.p), int(det.q))
+            assert determinant(m) == frac(det)
+            if det:
+                assert inverse(m).data == [frac(x) for x in s.inv()]
+            else:
+                with pytest.raises(ValidationError):
+                    inverse(m)
+
+
+def test_one_elimination_per_kit_and_determinant(monkeypatch):
+    from symquiv import linalg
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda a, *args, **kw: calls.append(a) or real(a, *args, **kw))
+    rng = random.Random(31)
+    for rows, cols in ((3, 3), (4, 6), (6, 4), (5, 5)):
+        m = random_matrix(rng, rows, cols, -3, 3)
+        calls.clear()
+        linalg_kit(m)
+        assert len(calls) == 1
+        if rows == cols:
+            calls.clear()
+            determinant(m)
+            assert len(calls) == 1
 
 
 def test_pfaffian_large_uses_elimination():
