@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import ShapeMismatch, ValidationError
-from .linalg import (RationalMatrix, column_space_complement,
+from .errors import ValidationError
+from .linalg import (ZERO, RationalMatrix, column_space_complement,
                      coordinates_in_span, kernel_basis)
 from .quiver import DimensionVector, Quiver
 from .representation import Representation
@@ -65,29 +66,71 @@ def path_combo(*items) -> PathCombo:
     return {p: c for p, c in out.items() if c}
 
 
-def evaluate_path(w: Representation, path: Path, tail: int, head: int) -> RationalMatrix:
-    if not path:
-        if w.dim[tail] != w.dim[head]:
-            raise ShapeMismatch("identity path between different dimensions")
-        return RationalMatrix.identity(w.dim[tail])
-    return w.path_matrix(path)
+def _int_product(a: List[List[int]], b: List[List[int]], cols: int) -> List[List[int]]:
+    """The product of two int matrices given as rows; ``cols`` is b's width."""
+    out = []
+    for arow in a:
+        acc = [0] * cols
+        for x, brow in zip(arow, b):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def evaluate_template(t: PathMatrix, w: Representation) -> RationalMatrix:
-    """The block matrix Hom(template, w); block (r, c) maps W(col) to W(row)."""
-    blocks = []
-    for r, qv in enumerate(t.rows):
-        row = []
-        for c, pv in enumerate(t.cols):
-            combo = t.entries[r][c]
-            block = RationalMatrix.zero(w.dim[qv], w.dim[pv])
-            for path, coeff in combo.items():
-                block = block + evaluate_path(w, path, pv, qv).scale(coeff)
-            row.append(block)
-        blocks.append(row)
-    if not blocks:
-        return RationalMatrix.zero(0, 0)
-    return RationalMatrix.block(blocks)
+    """The block matrix Hom(template, w); block (r, c) maps W(col) to W(row).
+
+    The result is always (sum of W at the row vertices) x (sum of W at the
+    column vertices), also when either sum is zero.  Path products are
+    formed on ints: each arrow matrix is cleared of denominators once, each
+    distinct path prefix is multiplied out once, and each block is an
+    integer combination over one common denominator, written row by row
+    into the result.
+    """
+    dim = w.dim
+    q = t.quiver
+    products: Dict[Path, Tuple[List[List[int]], int]] = {}
+
+    def product(path: Path) -> Tuple[List[List[int]], int]:
+        """Int rows n and a denominator d with n / d the matrix of the path;
+        a one-arrow path is the arrow matrix cleared of denominators."""
+        if path not in products:
+            if len(path) == 1:
+                m = w.matrices[path[0]]
+                den = lcm(*(x.denominator for x in m.data))
+                products[path] = ([[x.numerator * (den // x.denominator) for x in m.row(i)]
+                                   for i in range(m.rows)], den)
+            else:
+                (a, da), (n, d) = product(path[-1:]), product(path[:-1])
+                products[path] = (_int_product(a, n, dim[q.arrow_by_name[path[0]].tail]),
+                                  da * d)
+        return products[path]
+
+    heights = [dim[v] for v in t.rows]
+    widths = [dim[v] for v in t.cols]
+    data: List[Fraction] = []
+    for r, height in enumerate(heights):
+        strip = []                          # (int rows, denominator) per block
+        for c, width in enumerate(widths):
+            terms = []
+            for path, coeff in t.entries[r][c].items():
+                if path:
+                    n, d = product(path)
+                else:
+                    n, d = [[int(i == j) for j in range(width)] for i in range(height)], 1
+                terms.append((coeff, n, d))
+            den = lcm(*(coeff.denominator * d for coeff, _, d in terms))
+            block = [[0] * width for _ in range(height)]
+            for coeff, n, d in terms:
+                k = coeff.numerator * (den // (coeff.denominator * d))
+                block = [[u + k * x for u, x in zip(brow, nrow)]
+                         for brow, nrow in zip(block, n)]
+            strip.append((block, den))
+        for i in range(height):
+            for block, den in strip:
+                data.extend(Fraction(x, den) if x else ZERO for x in block[i])
+    return RationalMatrix(sum(heights), sum(widths), data)
 
 
 def template_is_square(t: PathMatrix, w: Representation) -> bool:

@@ -6,12 +6,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence
+from types import MappingProxyType
+from typing import Dict
 
 from .errors import (AsymmetricDimension, BadInterval, OddSymplecticDimension,
                      QuiverMismatch, ShapeMismatch, ValidationError)
 from .linalg import RationalMatrix, inverse as _inverse, linalg_kit
-from .quiver import DimensionVector, Quiver
+from .quiver import DimensionVector, Frozen, Quiver
 from .symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver
 
 
@@ -34,15 +35,6 @@ class Representation:
 
     def matrix(self, name: str) -> RationalMatrix:
         return self.matrices[name]
-
-    def path_matrix(self, path: Sequence[str]) -> RationalMatrix:
-        """Composite matrix of a path, first arrow applied first."""
-        if not path:
-            raise ValidationError("empty path has ambiguous endpoints")
-        out = self.matrices[path[0]]
-        for name in path[1:]:
-            out = self.matrices[name] * out
-        return out
 
     def direct_sum(self, other: "Representation") -> "Representation":
         if self.quiver is not other.quiver and \
@@ -157,21 +149,23 @@ def form_matrix(flavor: str, size: int) -> RationalMatrix:
     return RationalMatrix.identity(size)
 
 
-class StructuredRepresentation:
+class StructuredRepresentation(Frozen):
     """Symplectic or orthogonal representation of a symmetric quiver.
 
     Only matrices on the positive arrows and on the sigma-fixed arrows are
-    stored; mirror arrows are derived, never stored.
+    stored; mirror arrows are derived, never stored.  Immutable: the matrix
+    maps are read-only views and the matrices are not to be changed in
+    place, so the induced representation (:meth:`full`) is built once per
+    object.
     """
+
+    __slots__ = ("sq", "flavor", "dim", "matrices", "fixed_matrices", "_memo")
 
     def __init__(self, sq: SymmetricQuiver, flavor: str, dim: DimensionVector,
                  matrices: Dict[str, RationalMatrix],
                  fixed_matrices: Dict[str, RationalMatrix]):
         if flavor not in (SYMPLECTIC, ORTHOGONAL):
             raise ValidationError("flavor must be 'sp' or 'o'")
-        self.sq = sq
-        self.flavor = flavor
-        self.dim = dim
         if not sq.is_symmetric_dim(dim):
             raise AsymmetricDimension("dimension vector is not sigma-symmetric")
         if flavor == SYMPLECTIC:
@@ -179,14 +173,14 @@ class StructuredRepresentation:
                 if dim[x] % 2:
                     raise OddSymplecticDimension(
                         "symplectic dimension at fixed vertex %r must be even" % x)
-        self.matrices = {}
+        mats = {}
         for name in sq.a_plus:
             a = sq.base.arrow_by_name[name]
             m = matrices.get(name, RationalMatrix.zero(dim[a.head], dim[a.tail]))
             if m.rows != dim[a.head] or m.cols != dim[a.tail]:
                 raise ShapeMismatch("matrix for %s has the wrong shape" % name)
-            self.matrices[name] = m
-        self.fixed_matrices = {}
+            mats[name] = m
+        fixed = {}
         for name in sq.a_fixed:
             a = sq.base.arrow_by_name[name]
             sz = dim[a.tail]
@@ -197,38 +191,46 @@ class StructuredRepresentation:
                 raise ShapeMismatch("symplectic fixed matrix for %s must be symmetric" % name)
             if flavor == ORTHOGONAL and not m.is_skew_symmetric():
                 raise ShapeMismatch("orthogonal fixed matrix for %s must be skew" % name)
-            self.fixed_matrices[name] = m
+            fixed[name] = m
+        self._init(sq=sq, flavor=flavor, dim=dim, matrices=MappingProxyType(mats),
+                   fixed_matrices=MappingProxyType(fixed), _memo={})
 
     def full(self) -> Representation:
-        """The induced representation of the underlying quiver.
+        """The induced representation of the underlying quiver, built on the
+        first request and kept on this object: every call returns the same
+        ``Representation``, which callers must not change.
 
         Mirror arrows carry minus-transpose matrices, twisted by the fixed
         vertex pairing where an endpoint is sigma-fixed.
         """
-        sq = self.sq
-        mats: Dict[str, RationalMatrix] = {}
-        mats.update(self.matrices)
-        mats.update(self.fixed_matrices)
-        # with no fixed vertices or arrows the two structured spaces and
-        # their groups coincide; one mirror orbit flips sign so that the
-        # underlying form is the skew one and mirrored even paths pair up
-        flip = None
-        if not sq.v_fixed and not sq.a_fixed:
-            flip = min(sq.a_plus)
-        for name in sq.a_plus:
-            a = sq.base.arrow_by_name[name]
-            mirror = sq.sa(name)
-            sign = 1 if name == flip else -1
-            m = self.matrices[name].transpose().scale(sign)
-            if a.head in sq.v_fixed:
-                m = m * form_matrix(self.flavor, self.dim[a.head])
-            elif a.tail in sq.v_fixed:
-                m = _inverse(form_matrix(self.flavor, self.dim[a.tail])) * m
-            mats[mirror] = m
-        return Representation(sq.base, self.dim, mats)
+        return self.cached("full", _induced)
 
     def __repr__(self):
         return "StructuredRepresentation(%s, %r)" % (self.flavor, self.dim)
+
+
+def _induced(sr: StructuredRepresentation) -> Representation:
+    sq = sr.sq
+    mats: Dict[str, RationalMatrix] = {}
+    mats.update(sr.matrices)
+    mats.update(sr.fixed_matrices)
+    # with no fixed vertices or arrows the two structured spaces and
+    # their groups coincide; one mirror orbit flips sign so that the
+    # underlying form is the skew one and mirrored even paths pair up
+    flip = None
+    if not sq.v_fixed and not sq.a_fixed:
+        flip = min(sq.a_plus)
+    for name in sq.a_plus:
+        a = sq.base.arrow_by_name[name]
+        mirror = sq.sa(name)
+        sign = 1 if name == flip else -1
+        m = sr.matrices[name].transpose().scale(sign)
+        if a.head in sq.v_fixed:
+            m = m * form_matrix(sr.flavor, sr.dim[a.head])
+        elif a.tail in sq.v_fixed:
+            m = _inverse(form_matrix(sr.flavor, sr.dim[a.tail])) * m
+        mats[mirror] = m
+    return Representation(sq.base, sr.dim, mats)
 
 
 def check_structured(sr: StructuredRepresentation) -> bool:

@@ -3,9 +3,10 @@ generator enumeration for finite and tame symmetric quivers."""
 
 from __future__ import annotations
 
-import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, permutations, product as iproduct
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
@@ -215,60 +216,112 @@ def pencil_coefficients(pencil, w: StructuredRepresentation, kind: str) -> Dict[
     return {i: c for i, c in enumerate(coeffs) if c}
 
 
-def _skew_witnesses(sq: SymmetricQuiver, flavor: str, beta, seed: int, count: int):
-    return [random_structured(sq, flavor, beta, seed=seed + 101 * k)
-            for k in range(count)]
+class _SeededPoints(Sequence):
+    """Seeded structured representations at one dimension vector, each
+    drawn on first use and then kept: an enumeration draws every decision
+    point once and shares it across all its candidates."""
+
+    def __init__(self, sq: SymmetricQuiver, flavor: str, beta, seeds):
+        self._draw = lambda seed: random_structured(sq, flavor, beta, seed=seed)
+        self._seeds = list(seeds)
+        self._points: List[Optional[StructuredRepresentation]] = [None] * len(self._seeds)
+
+    def __len__(self) -> int:
+        return len(self._seeds)
+
+    def __getitem__(self, k: int) -> StructuredRepresentation:
+        if self._points[k] is None:
+            self._points[k] = self._draw(self._seeds[k])
+        return self._points[k]
 
 
-def skew_normalize_template(t: PathMatrix, sq: SymmetricQuiver, flavor: str,
-                            beta, seed: int = 0, witnesses: int = 8) -> Optional[PathMatrix]:
+def _skew_witnesses(sq: SymmetricQuiver, flavor: str, beta, seed: int = 0,
+                    count: int = 8) -> _SeededPoints:
+    """The points of the skew search: two at seed + 101 k, tried first, and
+    count - 2 more at seed + 7777 + 101 k."""
+    return _SeededPoints(sq, flavor, beta,
+                         [seed + 101 * k for k in range(2)]
+                         + [seed + 7777 + 101 * k for k in range(count - 2)])
+
+
+def _is_skew(rows: List[List[Fraction]], signs: List[int]) -> bool:
+    """Whether the square matrix with row i equal to signs[i] * rows[i] is
+    skew-symmetric."""
+    for i, (row, s) in enumerate(zip(rows, signs)):
+        if row[i]:
+            return False
+        for j in range(i + 1, len(rows)):
+            x, y = row[j], rows[j][i]
+            if (x != -y) if s == signs[j] else (x != y):
+                return False
+    return True
+
+
+def _skew_search(heights: List[int], perms, evaluations) -> Optional[Tuple]:
+    """The first (perm, signs), perm from ``perms`` and signs from
+    product((1, -1)), such that every evaluated matrix is skew-symmetric
+    once its row strips (of the given heights) are put in the order perm
+    and multiplied by signs.
+
+    ``evaluations`` are the callables returning the square matrices; each
+    is called once, on the first candidate that passes all before it.
+    """
+    starts = list(accumulate([0] + heights))
+    evaluated: List[List[List[Fraction]]] = []
+
+    def rows(k: int) -> List[List[Fraction]]:
+        if k == len(evaluated):
+            m = evaluations[k]()
+            evaluated.append([m.row(i) for i in range(m.rows)])
+        return evaluated[k]
+
+    for perm in perms:
+        order = [i for p in perm for i in range(starts[p], starts[p + 1])]
+        for signs in iproduct((1, -1), repeat=len(heights)):
+            row_signs = [s for p, s in zip(perm, signs) for _ in range(heights[p])]
+            if all(_is_skew([rows(k)[i] for i in order], row_signs)
+                   for k in range(len(evaluations))):
+                return perm, signs
+    return None
+
+
+def skew_normalize_template(t: PathMatrix, witnesses) -> Optional[PathMatrix]:
     """Search row permutations and sign flips making the evaluated template
-    exactly skew-symmetric on the flavor's representation space."""
-    from itertools import permutations, product as iproduct
-    ws = _skew_witnesses(sq, flavor, beta, seed, 2)
+    exactly skew-symmetric at every witness (structured representations of
+    one dimension vector, the first two tried first).
+
+    Candidates run over permutations, then sign vectors, in itertools order,
+    and the first that passes is returned: the row order it fixes is what
+    pins the sign of the template's Pfaffian.  The template is evaluated at
+    most once per witness; the candidates permute its evaluated rows.
+    """
     rows = len(t.rows)
     if rows > 4:
         return None
-    full0 = ws[0].full()
-    size = sum(full0.dim[v] for v in t.rows)
-    if size != sum(full0.dim[v] for v in t.cols) or size % 2:
+    dim = witnesses[0].dim
+    heights = [dim[v] for v in t.rows]
+    size = sum(heights)
+    if size != sum(dim[v] for v in t.cols) or size % 2:
         return None
-    for perm in permutations(range(rows)):
-        permuted_rows = [t.rows[i] for i in perm]
-        permuted_entries = [t.entries[i] for i in perm]
-        for signs in iproduct((1, -1), repeat=rows):
-            cand = PathMatrix(t.quiver, list(permuted_rows), list(t.cols),
-                              [[{p: Fraction(s) * v for p, v in e.items()}
-                                for e in row]
-                               for s, row in zip(signs, permuted_entries)])
-            ok = True
-            for w in ws:
-                m = evaluate_template(cand, w.full())
-                if not m.is_skew_symmetric():
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for w in _skew_witnesses(sq, flavor, beta, seed + 7777, witnesses - 2):
-                m = evaluate_template(cand, w.full())
-                if not m.is_skew_symmetric():
-                    ok = False
-                    break
-            if ok:
-                return cand
-    return None
+    found = _skew_search(heights, permutations(range(rows)),
+                         [lambda k=k: evaluate_template(t, witnesses[k].full())
+                          for k in range(len(witnesses))])
+    if found is None:
+        return None
+    perm, signs = found
+    return PathMatrix(t.quiver, [t.rows[i] for i in perm], list(t.cols),
+                      [[{p: Fraction(s) * v for p, v in e.items()} for e in t.entries[i]]
+                       for i, s in zip(perm, signs)])
 
 
 def is_pfaffian_type(t: PathMatrix, sq: SymmetricQuiver, flavor: str, beta,
                      seed: int = 0) -> bool:
     """Whether the template carries a pfaffian on the flavor's space."""
-    return skew_normalize_template(t, sq, flavor, beta, seed=seed) is not None
+    return skew_normalize_template(t, _skew_witnesses(sq, flavor, beta, seed)) is not None
 
 
-def _nonzero_on_seeds(descriptor: GeneratorDescriptor, sq: SymmetricQuiver,
-                      flavor: str, beta, seeds=(0, 1, 2)) -> bool:
-    for s in seeds:
-        w = random_structured(sq, flavor, beta, seed=1000 + s)
+def _nonzero_at(descriptor: GeneratorDescriptor, points) -> bool:
+    for w in points:
         try:
             if descriptor.evaluate(w) != 0:
                 return True
@@ -325,6 +378,8 @@ def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
     if n % 2 and flavor == SYMPLECTIC and beta[order[m]] % 2:
         raise OddSymplecticDimension("middle dimension must be even")
     out: List[GeneratorDescriptor] = []
+    wants_pf = (flavor == ORTHOGONAL) if n % 2 == 0 else (flavor == SYMPLECTIC)
+    witnesses = _skew_witnesses(sq, flavor, beta)
     top = m - 1 if n % 2 == 0 else m
     for j in range(1, top + 1):
         for i in range(j, top + 1):
@@ -340,11 +395,10 @@ def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
         if euler_form(sq.base, v.dim, beta) != 0:
             continue
         t = minimal_presentation(v)
-        wants_pf = (flavor == ORTHOGONAL) if n % 2 == 0 else (flavor == SYMPLECTIC)
         if wants_pf:
             if beta[order[i - 1]] % 2:
                 continue
-            normalized = skew_normalize_template(t, sq, flavor, beta)
+            normalized = skew_normalize_template(t, witnesses)
             assert normalized is not None, "mirror interval must be skew"
             out.append(GeneratorDescriptor(
                 "pf", template_weight(sq, normalized, half=True),
@@ -383,24 +437,14 @@ class _SkewPencil:
         return t
 
 
-def _skew_normalize_pencil(pen, sq, flavor, beta, seed=0):
-    from itertools import product as iproduct
-    ws = _skew_witnesses(sq, flavor, beta, seed, 2)
-    rows = len(pen.rows)
-    for signs in iproduct((1, -1), repeat=rows):
-        cand = _SkewPencil(pen, signs)
-        ok = True
-        for w in ws:
-            for t in (2, 3):
-                m = evaluate_template(cand.combine(Fraction(t), Fraction(1)), w.full())
-                if not m.is_skew_symmetric():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return cand
-    return None
+def _skew_normalize_pencil(pen, witnesses) -> Optional[_SkewPencil]:
+    """The first row sign vector making the pencil skew at t = 2 and 3 on
+    the first two witnesses; each of the four matrices is evaluated once."""
+    found = _skew_search([witnesses[0].dim[v] for v in pen.rows], [range(len(pen.rows))],
+                         [lambda k=k, t=t: evaluate_template(pen.combine(Fraction(t), Fraction(1)),
+                                                             witnesses[k].full())
+                          for k in (0, 1) for t in (2, 3)])
+    return None if found is None else _SkewPencil(pen, found[1])
 
 
 def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
@@ -424,11 +468,14 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
     # the coefficient family of the parameter pencil
     pen = pencil_templates(sq)
     kind = PENCIL_KIND[(st.tag, flavor)]
+    # every seeded decision point is drawn once, and shared by all candidates
     w0 = random_structured(sq, flavor, d, seed=424242)
+    checks = _SeededPoints(sq, flavor, d, [1000 + s for s in (0, 1, 2)])
+    witnesses = _skew_witnesses(sq, flavor, d)
     probe = evaluate_template(pen.combine(Fraction(1), Fraction(1)), w0.full())
     use_pencil = probe.is_square()
     if use_pencil and kind == "pf":
-        normalized = _skew_normalize_pencil(pen, sq, flavor, d)
+        normalized = _skew_normalize_pencil(pen, witnesses)
         if normalized is None or probe.rows % 2:
             use_pencil = False
         else:
@@ -455,12 +502,12 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
     if st.tag == "A00":
         try:
             t = pf_singleton_template(sq)
-            normalized = skew_normalize_template(t, sq, flavor, d)
+            normalized = skew_normalize_template(t, witnesses)
             if normalized is not None:
                 desc = GeneratorDescriptor(
                     "pf", template_weight(sq, normalized, half=True),
                     "skew-singleton", template=normalized)
-                if _nonzero_on_seeds(desc, sq, flavor, d):
+                if _nonzero_at(desc, checks):
                     out.append(desc)
         except NotSquare:
             pass
@@ -479,19 +526,19 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
             module = realize_interval(sq, orbits, poly.name, arc.start, gen_length)
             t = minimal_presentation(module)
             desc = None
-            normalized = skew_normalize_template(t, sq, flavor, d)
+            normalized = skew_normalize_template(t, witnesses)
             if normalized is not None:
                 cand = GeneratorDescriptor(
                     "pf", template_weight(sq, normalized, half=True),
                     "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length),
                     template=normalized)
-                if _nonzero_on_seeds(cand, sq, flavor, d):
+                if _nonzero_at(cand, checks):
                     desc = cand
             if desc is None:
                 cand = GeneratorDescriptor(
                     "det", template_weight(sq, t),
                     "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length), template=t)
-                if _nonzero_on_seeds(cand, sq, flavor, d) and \
+                if _nonzero_at(cand, checks) and \
                         template_is_square(t, w0.full()):
                     desc = cand
             if desc is not None:
@@ -507,7 +554,7 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
             desc = _single_arrow_descriptor(sq, fname, "pf", label="arrow")
         else:
             desc = _single_arrow_descriptor(sq, fname, "det", label="arrow")
-        if _nonzero_on_seeds(desc, sq, flavor, d):
+        if _nonzero_at(desc, checks):
             out.append(desc)
     # drop duplicates: same weight and same values on two seeded points
     w0 = random_structured(sq, flavor, d, seed=9100)

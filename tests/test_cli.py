@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from symquiv import cli
 from symquiv import io as sqio
 from symquiv import semiinvariant
 from symquiv.cli import main
+from symquiv.errors import NotSquare
 from symquiv.quiver import DimensionVector
 from symquiv.representation import random_structured
 
@@ -224,3 +226,24 @@ def test_pencil_solved_once_per_point(tmp_path, monkeypatch):
         assert code == 0
         assert len(calls) == 3 * (degree + 1)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("template", [{"rows": [], "cols": [1], "entries": []},
+                                      {"rows": [1], "cols": [], "entries": [[]]}],
+                         ids=["no-rows", "no-cols"])
+def test_degenerate_template_is_not_square(tmp_path, capsys, template):
+    """A template evaluates to (sum of row dims) x (sum of col dims), also
+    when it has no rows or no columns: at dimension 2 that is never square."""
+    sq = sqio.parse_quiver((FIX / "a4.qv").read_text())
+    d = DimensionVector({v: 2 for v in sq.base.vertices})
+    rep = tmp_path / "w.rep"
+    rep.write_text(sqio.serialize_representation(random_structured(sq, "sp", d, seed=3)))
+    gens = tmp_path / "g.jsonl"
+    gens.write_text(json.dumps({"kind": "det", "provenance": "degenerate", "weight": {},
+                                "template": template}) + "\n")
+    code, out = run_cli("evaluate", "-q", str(FIX / "a4.qv"), "--rep", str(rep),
+                        "--gen-file", str(gens))
+    err = capsys.readouterr().err
+    assert code == NotSquare.exit_code
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

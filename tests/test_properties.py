@@ -127,3 +127,39 @@ def test_fuzzed_command_lines_exit_cleanly(files, data):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3, 4), argv
+
+
+A4 = sqio.parse_quiver((FIX / "a4.qv").read_text())
+a4_vertex = st.one_of(st.sampled_from(A4.base.vertices), st.integers(-1, 6),
+                      st.sampled_from(["1", None]))
+a4_path = st.lists(st.sampled_from([a.name for a in A4.base.arrows] + ["b"]), max_size=3)
+a4_combo = st.lists(st.tuples(st.sampled_from(["1", "-1", "2/3", "0", "x", 3]),
+                              a4_path).map(list), max_size=3)
+template_record = st.fixed_dictionaries({
+    "kind": st.sampled_from(["det", "pf"]), "provenance": st.just("fuzz"),
+    "weight": st.just({}),
+    "template": st.fixed_dictionaries({
+        "rows": st.lists(a4_vertex, max_size=3), "cols": st.lists(a4_vertex, max_size=3),
+        "entries": st.lists(st.lists(a4_combo, max_size=3), max_size=3)})})
+
+
+@pytest.fixture(scope="module")
+def a4_point(tmp_path_factory):
+    """A quiver file and a representation at dimension 2 on every vertex."""
+    from symquiv.quiver import DimensionVector
+    from symquiv.representation import random_structured
+    root = tmp_path_factory.mktemp("templates")
+    rep = root / "a4.rep"
+    d = DimensionVector({v: 2 for v in A4.base.vertices})
+    rep.write_text(sqio.serialize_representation(random_structured(A4, "sp", d, seed=3)))
+    return str(FIX / "a4.qv"), str(rep), root / "gens.jsonl"
+
+
+@SETTINGS
+@given(st.lists(template_record, min_size=1, max_size=3))
+def test_fuzzed_template_records_evaluate_cleanly(a4_point, records):
+    quiver, rep, gens = a4_point
+    gens.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["evaluate", "-q", quiver, "--rep", rep, "--gen-file", str(gens)])
+    assert code in (0, 2, 3, 4), records
