@@ -291,17 +291,23 @@ def column_space_complement(m: RationalMatrix):
     return RationalMatrix(len(comp), m.rows, [x for v in basis for x in v]), comp
 
 
+def _det_int(a: List[List[int]]) -> int:
+    """Determinant of a square int matrix given as rows (consumed):
+    Bareiss elimination, downward sweep only."""
+    _, pivots, sign, d = _eliminate(a, upward=False)
+    return sign * d if len(pivots) == len(a) else 0
+
+
 def determinant(m: RationalMatrix) -> Fraction:
     """Determinant via integer fraction-free (Bareiss) elimination.
 
     Each row is scaled by the lcm of its denominators, so the elimination
-    runs on Python ints; only the downward sweep is needed.
+    runs on Python ints.
     """
     if not m.is_square():
         raise NotSquare("determinant of a non-square matrix")
     a, scales = _int_rows(_rows(m))
-    _, pivots, sign, d = _eliminate(a, upward=False)
-    return Fraction(sign * d, prod(scales)) if len(pivots) == m.rows else ZERO
+    return Fraction(_det_int(a), prod(scales))
 
 
 class LinalgKit(NamedTuple):
@@ -351,24 +357,30 @@ def pfaffian(m: RationalMatrix) -> Fraction:
     """Exact Pfaffian of an even skew-symmetric matrix.
 
     Denominators are cleared by the congruence D*A*D with D diagonal (the
-    row lcms), which scales the Pfaffian by det D.  The integer matrix then
-    goes through fraction-free skew elimination: after the step on the pair
-    (k, k+1) with pivot p, every remaining entry is the Pfaffian of a
-    principal submatrix, and the division by the previous pivot is exact
-    (Rote 2001).  Only the upper triangle of the remaining block is kept
-    current.
+    row lcms), which scales the Pfaffian by det D; the integer matrix then
+    goes through ``_pf_int``.
     """
     _check_skew(m)
-    n = m.rows
     a, d = _int_rows(_rows(m))
-    a = [[x * d[j] for j, x in enumerate(row)] for row in a]
+    return Fraction(_pf_int([[x * d[j] for j, x in enumerate(row)] for row in a]), prod(d))
+
+
+def _pf_int(a: List[List[int]]) -> int:
+    """Pfaffian of an even skew-symmetric int matrix given as rows (consumed).
+
+    Fraction-free skew elimination: after the step on the pair (k, k+1)
+    with pivot p, every remaining entry is the Pfaffian of a principal
+    submatrix, and the division by the previous pivot is exact (Rote
+    2001).  Only the upper triangle of the remaining block is kept current.
+    """
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(0, n, 2):
         if a[k][k + 1] == 0:
             swap = next((r for r in range(k + 2, n) if a[k][r]), None)
             if swap is None:
-                return ZERO
+                return 0
             # restore the lower triangle, then swap k+1 and swap in rows and
             # columns: a congruence that flips the sign of the Pfaffian
             for i in range(k, n):
@@ -386,7 +398,7 @@ def pfaffian(m: RationalMatrix) -> Fraction:
             ai[i + 1:] = [(p * z - x * u + y * v) // prev
                           for z, u, v in zip(ai[i + 1:], ak1[i + 1:], ak[i + 1:])]
         prev = p
-    return Fraction(sign * prev, prod(d))
+    return sign * prev
 
 
 def _check_skew(m: RationalMatrix) -> None:

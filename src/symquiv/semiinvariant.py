@@ -7,13 +7,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, product as iproduct
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
                      NotFiniteType, NotSquare, NotSkewSymmetric, NotTame,
                      OddSymplecticDimension, PatternNotFound, ValidationError)
-from .linalg import (RationalMatrix, determinant, interpolate_polynomial,
-                     pfaffian)
+from .linalg import (RationalMatrix, _check_skew, _det_int, _pf_int, determinant,
+                     interpolate_polynomial, pfaffian)
 from .presentation import (PathMatrix, evaluate_template, minimal_presentation,
                            template_is_square)
 from .quiver import DimensionVector, Quiver, euler_form
@@ -197,23 +198,34 @@ def pencil_coefficients(pencil, w: StructuredRepresentation, kind: str) -> Dict[
     evaluated at a representation, by interpolation at integer nodes.
 
     The pencil is affine in its parameter, so the templates are evaluated
-    at t = 0 and t = 1 only and M(t) = M(0) + t (M(1) - M(0)) gives the
-    matrix at every other node.
+    at t = 0 and t = 1 only.  With ``den`` a common denominator of M(0) and
+    M(1), the nodes den M(t) = den M(0) + t den (M(1) - M(0)) are int
+    matrices that go straight to the integer kernel; the polynomial of the
+    nodes is den^n det M(t) or den^(n/2) pf M(t).  Every node is an affine
+    combination of M(0) and M(1), so checking those two for skew symmetry
+    checks them all.
     """
     full = w.full()
     m0 = evaluate_template(pencil.combine(Fraction(0), Fraction(1)), full)
     if not m0.is_square():
         raise NotSquare("pencil does not evaluate to square matrices")
     m1 = evaluate_template(pencil.combine(Fraction(1), Fraction(1)), full)
-    step = [b - a for a, b in zip(m0.data, m1.data)]
-    degree = m0.rows if kind == "det" else m0.rows // 2
-    kernel = determinant if kind == "det" else pfaffian
+    n = m0.rows
+    if kind == "det":
+        degree, kernel = n, _det_int
+    else:
+        _check_skew(m0)
+        _check_skew(m1)
+        degree, kernel = n // 2, _pf_int
+    den = lcm(*(x.denominator for x in m0.data), *(x.denominator for x in m1.data))
+    z0 = [x.numerator * (den // x.denominator) for x in m0.data]
+    step = [y.numerator * (den // y.denominator) - z for y, z in zip(m1.data, z0)]
     pts = []
     for t in range(degree + 1):
-        mt = RationalMatrix(m0.rows, m0.cols, [a + t * s for a, s in zip(m0.data, step)])
-        pts.append((Fraction(t), kernel(mt)))
-    coeffs = interpolate_polynomial(pts)
-    return {i: c for i, c in enumerate(coeffs) if c}
+        node = [z + t * s for z, s in zip(z0, step)]
+        pts.append((t, kernel([node[i * n:(i + 1) * n] for i in range(n)])))
+    scale = den ** degree
+    return {i: c / scale for i, c in enumerate(interpolate_polynomial(pts)) if c}
 
 
 class _SeededPoints(Sequence):
@@ -480,11 +492,14 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
             use_pencil = False
         else:
             pen = normalized
+    # the two points of pencil index discovery also decide the duplicates,
+    # and the pencil coefficients found there are the pencil generators'
+    # values at them: the pencil is solved twice per enumeration
+    points = _SeededPoints(sq, flavor, d, (5000, 5001))
+    coefficients: List[Dict[int, Fraction]] = []
     if use_pencil:
-        indices = set()
-        for s in (0, 1):
-            w = random_structured(sq, flavor, d, seed=5000 + s)
-            indices.update(pencil_coefficients(pen, w, kind).keys())
+        coefficients = [pencil_coefficients(pen, w, kind) for w in points]
+        indices = set().union(*coefficients)
         base = pen.base if isinstance(pen, _SkewPencil) else pen
         wt = Weight({x: Fraction(0) for x in sq.base.vertices})
         for v in base.cols:
@@ -556,13 +571,16 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
             desc = _single_arrow_descriptor(sq, fname, "det", label="arrow")
         if _nonzero_at(desc, checks):
             out.append(desc)
-    # drop duplicates: same weight and same values on two seeded points
-    w0 = random_structured(sq, flavor, d, seed=9100)
-    w1 = random_structured(sq, flavor, d, seed=9101)
+    # drop duplicates: same weight and same values at both points
+    def values(g: GeneratorDescriptor) -> Tuple[Fraction, ...]:
+        if g.kind.startswith("pencil-"):
+            return tuple(c.get(g.index, Fraction(0)) for c in coefficients)
+        return tuple(g.evaluate(w) for w in points)
+
     seen = set()
     deduped = []
-    for g, v0, v1 in zip(out, evaluate_all(out, w0), evaluate_all(out, w1)):
-        key = (g.kind.replace("pencil-", ""), g.weight.as_sorted_items(), v0, v1)
+    for g in out:
+        key = (g.kind.replace("pencil-", ""), g.weight.as_sorted_items(), values(g))
         if key in seen:
             continue
         seen.add(key)

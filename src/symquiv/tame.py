@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,24 +80,37 @@ class LabelledPolygon:
 
 
 def _candidate_regular_simples(q: Quiver) -> List[DimensionVector]:
-    """Vectors of the box [0, h] other than 0 and h with zero defect and Tits
-    form 1.  Both forms are evaluated on plain tuples: the defect is linear
-    with coefficients h(x) minus the sum of h over the tails of arrows into x."""
+    """The positive real roots below h, other than h, with zero defect.
+
+    Every positive real root is reached from a simple root by simple
+    reflections that each raise one coordinate (Kac 1980), so every root on
+    the way lies below the last one, and the search upward from the simple
+    roots, cut at h, finds every real root of the box [0, h].  On a
+    Euclidean quiver those are exactly its vectors of Tits form 1 (Dlab &
+    Ringel 1976).  The defect is linear, with coefficients h(x) minus the
+    sum of h over the tails of arrows into x.
+    """
     verts = list(q.vertices)
     h = null_root(q).as_tuple(verts)
     pos = {v: i for i, v in enumerate(verts)}
     arrows = [(pos[a.tail], pos[a.head]) for a in q.arrows]
     coeffs = [h[i] - sum(h[t] for t, s in arrows if s == i) for i in range(len(verts))]
-    out = []
-    for x in product(*(range(k + 1) for k in h)):
-        if not any(x) or x == h:
-            continue
-        if sum(map(mul, coeffs, x)) != 0:
-            continue
-        if sum(map(mul, x, x)) - sum(x[t] * x[s] for t, s in arrows) != 1:
-            continue
-        out.append(DimensionVector(dict(zip(verts, x))))
-    return out
+    # the neighbours of each vertex, once per arrow
+    nbrs = {i: [s if t == i else t for t, s in arrows if i in (t, s)]
+            for i in range(len(verts))}
+    seen = {tuple(int(j == i) for j in range(len(verts))) for i in nbrs}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for j, adj in nbrs.items():
+            y = sum(x[k] for k in adj) - x[j]        # s_j(x) at j
+            if x[j] < y <= h[j]:
+                z = x[:j] + (y,) + x[j + 1:]
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return [DimensionVector(dict(zip(verts, x))) for x in seen
+            if x != h and sum(map(mul, coeffs, x)) == 0]
 
 
 def tau_orbits(sq: SymmetricQuiver) -> TauOrbits:

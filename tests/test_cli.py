@@ -196,8 +196,8 @@ def test_pencil_solved_once_per_point(tmp_path, monkeypatch):
     however many of its coefficients are listed."""
     qfile = str(FIX / "a201_00.qv")
     sq = sqio.parse_quiver((FIX / "a201_00.qv").read_text())
-    for flavor, n, kernel, degree in (("sp", 3, "determinant", 3),
-                                      ("o", 4, "pfaffian", 2)):
+    for flavor, n, kernel, degree in (("sp", 3, "_det_int", 3),
+                                      ("o", 4, "_pf_int", 2)):
         dim = "%d,%d" % (n, n)
         code, out = run_cli("generators", "-q", qfile, "--dim", dim,
                             "--flavor", flavor, "--json-lines")
@@ -214,7 +214,7 @@ def test_pencil_solved_once_per_point(tmp_path, monkeypatch):
         calls = []
         solve = getattr(semiinvariant, kernel)
         monkeypatch.setattr(semiinvariant, kernel,
-                            lambda m: calls.append(m.rows) or solve(m))
+                            lambda rows: calls.append(len(rows)) or solve(rows))
         code, out = run_cli("evaluate", "-q", qfile, "--rep", str(rep_file),
                             "--gen-file", str(gen_file))
         assert code == 0 and len(out.splitlines()) == degree + 1
@@ -225,6 +225,26 @@ def test_pencil_solved_once_per_point(tmp_path, monkeypatch):
                           "--flavor", flavor, "--check-invariance", "2")
         assert code == 0
         assert len(calls) == 3 * (degree + 1)
+        monkeypatch.undo()
+
+
+def test_generators_tame_solves_pencil_twice(monkeypatch):
+    """One enumeration solves its pencil at two points: the points of index
+    discovery also decide the duplicates."""
+    sq = sqio.parse_quiver((FIX / "a201_00.qv").read_text())
+    for flavor, n, kernel, degree in (("sp", 5, "_det_int", 5),
+                                      ("o", 6, "_pf_int", 3)):
+        solves, nodes = [], []
+        coefficients = semiinvariant.pencil_coefficients
+        kernel_fn = getattr(semiinvariant, kernel)
+        monkeypatch.setattr(semiinvariant, "pencil_coefficients",
+                            lambda *a: solves.append(a) or coefficients(*a))
+        monkeypatch.setattr(semiinvariant, kernel,
+                            lambda rows: nodes.append(len(rows)) or kernel_fn(rows))
+        gens = semiinvariant.generators_tame(sq, DimensionVector({1: n, 2: n}), flavor)
+        assert len(gens) == degree + 1
+        assert len(solves) == 2
+        assert nodes == [n] * (2 * (degree + 1))
         monkeypatch.undo()
 
 

@@ -1,15 +1,22 @@
+import io
 import random
+from contextlib import redirect_stdout
+from itertools import product
+from math import prod
 
 import pytest
 
 from symquiv import families
+from symquiv import io as sqio
+from symquiv.cli import main
 from symquiv.errors import NotRegular, NotSymmetric
-from symquiv.quiver import null_root
+from symquiv.quiver import DimensionVector, null_root
 from symquiv.reflection import PLUS, coxeter_dim
 from symquiv.representation import dvw_and_homext
 from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC
-from symquiv.tame import (admissible_arcs, canonical_decomposition,
-                          generic_summands, pencil_templates, realize_summand,
+from symquiv.tame import (_candidate_regular_simples, admissible_arcs,
+                          canonical_decomposition, generic_summands,
+                          pencil_templates, realize_summand,
                           tame_regular_module, tau_orbits)
 
 FAMILIES = {
@@ -48,6 +55,86 @@ def test_tau_orbit_invariants():
                 if poly.sigma is not None:
                     assert sq.delta(e) == poly.dims[poly.sigma[i]]
             assert total == h
+
+
+def _box_scan(q):
+    """Test oracle: every vector of the box [0, h] other than 0 and h with
+    zero defect and Tits form 1, found by visiting them all."""
+    verts = list(q.vertices)
+    h = null_root(q).as_tuple(verts)
+    pos = {v: i for i, v in enumerate(verts)}
+    arrows = [(pos[a.tail], pos[a.head]) for a in q.arrows]
+    coeffs = [h[i] - sum(h[t] for t, s in arrows if s == i) for i in range(len(verts))]
+    out = set()
+    for x in product(*(range(k + 1) for k in h)):
+        if not any(x) or x == h:
+            continue
+        if sum(c * y for c, y in zip(coeffs, x)) != 0:
+            continue
+        if sum(y * y for y in x) - sum(x[t] * x[s] for t, s in arrows) != 1:
+            continue
+        out.add(DimensionVector(dict(zip(verts, x))))
+    return out
+
+
+def _family_quivers():
+    for k, l in product((0, 2, 4), repeat=2):
+        yield families.a201(k, l)
+        if k >= 2:
+            yield families.a202(k, l)
+        if l >= 2:
+            yield families.a11(k, l)
+            if k >= 2:
+                yield families.a02(k, l)
+    for k in (2, 4, 6):
+        yield families.a00(k)
+    for n in (3, 4, 5, 6):
+        yield families.d10(n)
+        yield families.d01(n)
+
+
+def test_reflection_search_matches_box_scan():
+    """The regular simple candidates reached by raising reflections from the
+    simple roots are exactly those of the box scan, on every family quiver
+    whose box [0, h] has at most 1e5 points."""
+    checked = 0
+    for sq in _family_quivers():
+        q = sq.base
+        if prod(x + 1 for x in null_root(q).as_tuple(q.vertices)) > 10 ** 5:
+            continue
+        assert set(_candidate_regular_simples(q)) == _box_scan(q), q.name
+        checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("make", [lambda: families.d10(12), lambda: families.d01(12),
+                                  lambda: families.a201(12, 2)],
+                         ids=["d10(12)", "d01(12)", "a201(12,2)"])
+def test_large_family_orbits_and_generators(tmp_path, make):
+    """Large family quivers, far beyond a box scan: the translation orbits
+    keep their invariants, and generators at h pass an invariance check in
+    both flavors."""
+    sq = make()
+    h = null_root(sq.base)
+    orbits = tau_orbits(sq)
+    orbit_sets = {frozenset(poly.dims) for poly in orbits.polygons}
+    assert orbit_sets
+    assert {frozenset(map(sq.delta, o)) for o in orbit_sets} == orbit_sets
+    for poly in orbits.polygons:
+        total = poly.dims[0].scale(0)
+        for i, e in enumerate(poly.dims):
+            total = total + e
+            assert coxeter_dim(sq.base, e, PLUS) == poly.dims[(i + 1) % poly.rank]
+        assert total == h
+    qfile = tmp_path / "q.qv"
+    qfile.write_text(sqio.serialize_quiver(sq))
+    dim = ",".join(str(x) for x in h.as_tuple(sq.base.vertices))
+    for flavor in (SYMPLECTIC, ORTHOGONAL):
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(["generators", "-q", str(qfile), "--dim", dim,
+                         "--flavor", flavor, "--check-invariance", "1"])
+        assert code == 0, flavor
+        assert out.getvalue().strip()
 
 
 def test_kronecker_has_no_polygons():
