@@ -1,16 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices hold `fractions.Fraction` entries; no floating point is used
-anywhere in the package.  Elimination clears row denominators first and
-runs on Python ints: one fraction-free Gauss-Jordan routine serves rref,
-rank, kernel, cokernel, solve, inverse and determinant, and the Pfaffian
-has its own skew elimination.
+A matrix is a flat row-major list of int numerators ``num`` over one
+positive denominator ``den``, kept reduced (``gcd(den, *num) == 1``), so
+equal matrices have equal fields.  No floating point is used anywhere in
+the package.  The kernels run on the int rows directly: one fraction-free
+Gauss-Jordan routine serves rref, rank, kernel, cokernel, solve, inverse
+and determinant, and the Pfaffian has its own skew elimination.
+``Fraction`` values appear only at the edges: entry access, ``data``,
+``apply`` and the kernel and solution vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import NotSkewSymmetric, NotSquare, OddDimension, ValidationError
@@ -21,26 +24,47 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _exact(x):
+    """``x`` if it is an int or a Fraction; otherwise TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("matrix entries are int or Fraction, not %s" % type(x).__name__)
+    return x
+
+
+def _reduce(num: List[int], den: int):
+    """(num, den) divided by the sign of den and by gcd(den, *num)."""
+    if den < 0:
+        den, num = -den, [-x for x in num]
+    g = gcd(den, *num) if den > 1 else 1
+    return ([x // g for x in num], den // g) if g > 1 else (num, den)
 
 
 class RationalMatrix:
-    """Dense matrix with exact rational entries, stored row-major."""
+    """Dense matrix with exact rational entries: int numerators ``num``,
+    row-major, over one reduced positive denominator ``den``."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        flat = [_frac(x) for x in entries]
+        flat = [_exact(x) for x in entries]
         if len(flat) != rows * cols:
             raise ValueError("entry count %d does not match %dx%d" % (len(flat), rows, cols))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(x.denominator for x in flat))
         self.rows = rows
         self.cols = cols
-        self.data = flat
+        self.num = [x.numerator * (den // x.denominator) for x in flat]
+        self.den = den
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, num: List[int], den: int = 1) -> "RationalMatrix":
+        """The matrix num / den (den nonzero); ``num`` is taken over."""
+        m = cls.__new__(cls)
+        m.rows, m.cols = rows, cols
+        m.num, m.den = _reduce(num, den)
+        return m
 
     # -- construction -----------------------------------------------------
     @classmethod
@@ -56,14 +80,11 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.data[i * n + i] = ONE
-        return m
+        return cls._from_ints(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls._from_ints(rows, cols, [0] * (rows * cols))
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["RationalMatrix"]]) -> "RationalMatrix":
@@ -74,126 +95,131 @@ class RationalMatrix:
             for j, b in enumerate(row):
                 if b.cols != col_widths[j] or b.rows != row[0].rows:
                     raise ValueError("inconsistent block shapes")
-        total_r = sum(row_heights)
-        total_c = sum(col_widths)
-        out = cls.zero(total_r, total_c)
-        r0 = 0
-        for bi, row in enumerate(grid):
-            c0 = 0
-            for bj, b in enumerate(row):
-                for i in range(b.rows):
-                    base = (r0 + i) * total_c + c0
-                    out.data[base:base + b.cols] = b.data[i * b.cols:(i + 1) * b.cols]
-                c0 += col_widths[bj]
-            r0 += row_heights[bi]
-        return out
+        den = lcm(*(b.den for row in grid for b in row))
+        num: List[int] = []
+        for row, height in zip(grid, row_heights):
+            strip = [(b.num, b.cols, den // b.den) for b in row]
+            for i in range(height):
+                for bnum, c, s in strip:
+                    num.extend(x * s for x in bnum[i * c:(i + 1) * c])
+        return cls._from_ints(sum(row_heights), sum(col_widths), num, den)
 
     # -- basics ------------------------------------------------------------
-    def __getitem__(self, key):
+    def _offset(self, key) -> int:
         i, j = key
-        return self.data[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("index (%r, %r) outside a %dx%d matrix"
+                             % (i, j, self.rows, self.cols))
+        return i * self.cols + j
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self.num[self._offset(key)], self.den)
 
     def __setitem__(self, key, value):
-        i, j = key
-        self.data[i * self.cols + j] = _frac(value)
+        k = self._offset(key)
+        d = _exact(value).denominator
+        if self.den % d:
+            s = lcm(self.den, d) // self.den
+            self.num = [x * s for x in self.num]
+            self.den *= s
+        self.num[k] = value.numerator * (self.den // d)
+        self.num, self.den = _reduce(self.num, self.den)
+
+    @property
+    def data(self) -> List[Fraction]:
+        """The entries, row-major, as a new list of Fractions."""
+        return [Fraction(x, self.den) for x in self.num]
+
+    def int_rows(self) -> List[List[int]]:
+        """The rows of den * self, as new int lists."""
+        c = self.cols
+        return [self.num[i * c:(i + 1) * c] for i in range(self.rows)]
 
     def row(self, i: int) -> List[Fraction]:
-        return self.data[i * self.cols:(i + 1) * self.cols]
-
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, list(self.data))
+        if not 0 <= i < self.rows:
+            raise IndexError("row %r outside a %dx%d matrix" % (i, self.rows, self.cols))
+        return [Fraction(x, self.den) for x in self.num[i * self.cols:(i + 1) * self.cols]]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.data)))
+        return hash((self.rows, self.cols, self.den, tuple(self.num)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return "RationalMatrix(%dx%d: %s)" % (self.rows, self.cols, body)
 
     def transpose(self) -> "RationalMatrix":
-        out = RationalMatrix.zero(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j * self.rows + i] = self.data[i * self.cols + j]
-        return out
+        c = self.cols
+        return RationalMatrix._from_ints(
+            c, self.rows, [x for j in range(c) for x in self.num[j::c]], self.den)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, [-x for x in self.data])
+        return RationalMatrix._from_ints(self.rows, self.cols, [-x for x in self.num], self.den)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in addition")
-        return RationalMatrix(self.rows, self.cols,
-                              [a + b for a, b in zip(self.data, other.data)])
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return RationalMatrix._from_ints(
+            self.rows, self.cols, [s * a + t * b for a, b in zip(self.num, other.num)], den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def scale(self, c) -> "RationalMatrix":
-        c = _frac(c)
-        return RationalMatrix(self.rows, self.cols, [c * x for x in self.data])
+        c = _exact(c)
+        return RationalMatrix._from_ints(self.rows, self.cols,
+                                         [c.numerator * x for x in self.num],
+                                         c.denominator * self.den)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        out = RationalMatrix.zero(self.rows, other.cols)
-        oc = other.cols
-        for i in range(self.rows):
-            ri = self.data[i * self.cols:(i + 1) * self.cols]
-            acc = out.data
-            for k, a in enumerate(ri):
-                if a:
-                    rk = other.data[k * oc:(k + 1) * oc]
-                    base = i * oc
-                    for j in range(oc):
-                        if rk[j]:
-                            acc[base + j] += a * rk[j]
-        return out
+        rows = _int_product(self.int_rows(), other.int_rows(), other.cols)
+        return RationalMatrix._from_ints(self.rows, other.cols,
+                                         [x for row in rows for x in row],
+                                         self.den * other.den)
 
     def apply(self, vec: Sequence[Fraction]) -> List[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            s = ZERO
-            for j, v in enumerate(vec):
-                if v:
-                    s += self.data[i * self.cols + j] * v
-            out.append(s)
-        return out
+        s = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (s // x.denominator) for x in vec]
+        return [Fraction(sum(a * b for a, b in zip(row, ints) if b), s * self.den)
+                for row in self.int_rows()]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not any(self.num)
 
     def is_symmetric(self) -> bool:
+        n, a = self.cols, self.num
         return self.is_square() and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i + 1, self.cols))
+            a[i * n + j] == a[j * n + i] for i in range(n) for j in range(i + 1, n))
 
     def is_skew_symmetric(self) -> bool:
-        if not self.is_square():
-            return False
-        for i in range(self.rows):
-            if self[i, i] != 0:
-                return False
-            for j in range(i + 1, self.cols):
-                if self[i, j] != -self[j, i]:
-                    return False
-        return True
+        n, a = self.cols, self.num
+        return self.is_square() and all(
+            a[i * n + j] == -a[j * n + i] for i in range(n) for j in range(i, n))
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]):
-    """Each row times the lcm of its denominators, as ints; and those lcms."""
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    return [[x.numerator * (s // x.denominator) for x in row]
-            for row, s in zip(rows, scales)], scales
+def _int_product(a: List[List[int]], b: List[List[int]], cols: int) -> List[List[int]]:
+    """The product of two int matrices given as rows; ``cols`` is b's width."""
+    out = []
+    for arow in a:
+        acc = [0] * cols
+        for x, brow in zip(arow, b):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def _eliminate(a: List[List[int]], upward: bool = True):
@@ -239,42 +265,38 @@ def _eliminate(a: List[List[int]], upward: bool = True):
     return a, pivots, sign, prev
 
 
-def _reduced(rows: Sequence[Sequence[Fraction]]):
-    """(d*RREF int rows, pivot columns, d) of a matrix given by its rows."""
-    a, pivots, _, d = _eliminate(_int_rows(rows)[0])
-    return a, pivots, d
-
-
-def _rows(m: RationalMatrix) -> List[List[Fraction]]:
-    return [m.row(i) for i in range(m.rows)]
-
-
 def rref(m: RationalMatrix):
     """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    a, pivots, d = _reduced(_rows(m))
-    return RationalMatrix(m.rows, m.cols, [Fraction(x, d) for row in a for x in row]), pivots
+    a, pivots, _, d = _eliminate(m.int_rows())
+    return RationalMatrix._from_ints(m.rows, m.cols, [x for row in a for x in row], d), pivots
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(_reduced(_rows(m))[1])
+    return len(_eliminate(m.int_rows())[1])
 
 
 def _kernel(a: List[List[int]], pivots: List[int], d: int, cols: int):
-    """Kernel basis and free columns of a reduced elimination."""
+    """Kernel basis of a reduced elimination, as int rows over d, and the
+    free columns."""
     free = sorted(set(range(cols)) - set(pivots))
     basis = []
     for f in free:
-        v = [ZERO] * cols
-        v[f] = ONE
+        v = [0] * cols
+        v[f] = d
         for r, c in enumerate(pivots):
-            v[c] = Fraction(-a[r][f], d)
+            v[c] = -a[r][f]
         basis.append(v)
     return basis, free
 
 
+def _fractions(rows: List[List[int]], d: int) -> List[List[Fraction]]:
+    return [[Fraction(x, d) if x else ZERO for x in row] for row in rows]
+
+
 def kernel_basis(m: RationalMatrix) -> List[List[Fraction]]:
     """Basis of the right kernel, from the RREF free columns in ascending order."""
-    return _kernel(*_reduced(_rows(m)), m.cols)[0]
+    a, pivots, _, d = _eliminate(m.int_rows())
+    return _fractions(_kernel(a, pivots, d, m.cols)[0], d)
 
 
 def column_space_complement(m: RationalMatrix):
@@ -287,8 +309,9 @@ def column_space_complement(m: RationalMatrix):
     complement index, so the rows of ``proj`` are the kernel basis of the
     transpose.
     """
-    basis, comp = _kernel(*_reduced(_rows(m.transpose())), m.rows)
-    return RationalMatrix(len(comp), m.rows, [x for v in basis for x in v]), comp
+    a, pivots, _, d = _eliminate(m.transpose().int_rows())
+    basis, comp = _kernel(a, pivots, d, m.rows)
+    return RationalMatrix._from_ints(len(comp), m.rows, [x for v in basis for x in v], d), comp
 
 
 def _det_int(a: List[List[int]]) -> int:
@@ -299,15 +322,11 @@ def _det_int(a: List[List[int]]) -> int:
 
 
 def determinant(m: RationalMatrix) -> Fraction:
-    """Determinant via integer fraction-free (Bareiss) elimination.
-
-    Each row is scaled by the lcm of its denominators, so the elimination
-    runs on Python ints.
-    """
+    """Determinant via integer fraction-free (Bareiss) elimination of the
+    numerators: det(A / d) = det(A) / d^n."""
     if not m.is_square():
         raise NotSquare("determinant of a non-square matrix")
-    a, scales = _int_rows(_rows(m))
-    return Fraction(_det_int(a), prod(scales))
+    return Fraction(_det_int(m.int_rows()), m.den ** m.rows)
 
 
 class LinalgKit(NamedTuple):
@@ -319,14 +338,13 @@ class LinalgKit(NamedTuple):
 
 def linalg_kit(m: RationalMatrix) -> LinalgKit:
     """Rank, determinant (square case), kernel basis and cokernel dimension."""
-    a, scales = _int_rows(_rows(m))
-    _, pivots, sign, d = _eliminate(a)
+    a, pivots, sign, d = _eliminate(m.int_rows())
     r = len(pivots)
     det = None
     if m.is_square():
-        det = Fraction(sign * d, prod(scales)) if r == m.rows else ZERO
-    return LinalgKit(rank=r, det=det, kernel_basis=_kernel(a, pivots, d, m.cols)[0],
-                     cokernel_dim=m.rows - r)
+        det = Fraction(sign * d, m.den ** m.rows) if r == m.rows else ZERO
+    basis = _fractions(_kernel(a, pivots, d, m.cols)[0], d)
+    return LinalgKit(rank=r, det=det, kernel_basis=basis, cokernel_dim=m.rows - r)
 
 
 def pfaffian_matching_sum(m: RationalMatrix) -> Fraction:
@@ -354,15 +372,10 @@ def pfaffian_matching_sum(m: RationalMatrix) -> Fraction:
 
 
 def pfaffian(m: RationalMatrix) -> Fraction:
-    """Exact Pfaffian of an even skew-symmetric matrix.
-
-    Denominators are cleared by the congruence D*A*D with D diagonal (the
-    row lcms), which scales the Pfaffian by det D; the integer matrix then
-    goes through ``_pf_int``.
-    """
+    """Exact Pfaffian of an even skew-symmetric matrix: the numerators go
+    through ``_pf_int``, and pf(A / d) = pf(A) / d^(n/2)."""
     _check_skew(m)
-    a, d = _int_rows(_rows(m))
-    return Fraction(_pf_int([[x * d[j] for j, x in enumerate(row)] for row in a]), prod(d))
+    return Fraction(_pf_int(m.int_rows()), m.den ** (m.rows // 2))
 
 
 def _pf_int(a: List[List[int]]) -> int:
@@ -412,7 +425,8 @@ def _check_skew(m: RationalMatrix) -> None:
 
 def solve(m: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """One solution of m x = rhs, or None if inconsistent."""
-    a, pivots, d = _reduced([row + [_frac(rhs[i])] for i, row in enumerate(_rows(m))])
+    aug = RationalMatrix.block([[m, RationalMatrix(m.rows, 1, rhs)]])
+    a, pivots, _, d = _eliminate(aug.int_rows())
     if m.cols in pivots:
         return None
     x = [ZERO] * m.cols
@@ -426,11 +440,11 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
     if not m.is_square():
         raise NotSquare("inverse of a non-square matrix")
     n = m.rows
-    a, pivots, d = _reduced([row + [int(i == j) for j in range(n)]
-                             for i, row in enumerate(_rows(m))])
+    aug = RationalMatrix.block([[m, RationalMatrix.identity(n)]])
+    a, pivots, _, d = _eliminate(aug.int_rows())
     if pivots[:n] != list(range(n)):
         raise ValidationError("matrix is singular")
-    return RationalMatrix(n, n, [Fraction(x, d) for row in a for x in row[n:]])
+    return RationalMatrix._from_ints(n, n, [x for row in a for x in row[n:]], d)
 
 
 def coordinates_in_span(basis: List[List[Fraction]], vec: Sequence[Fraction]) -> Optional[List[Fraction]]:
@@ -447,8 +461,8 @@ def interpolate_polynomial(points: Sequence) -> List[Fraction]:
     divided differences, expanded to monomial coefficients: O(n^2) exact
     operations.  Trailing zero coefficients are dropped.
     """
-    xs = [_frac(x) for x, _ in points]
-    dd = [_frac(y) for _, y in points]
+    xs = [Fraction(x) for x, _ in points]
+    dd = [Fraction(y) for _, y in points]
     n = len(xs)
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):

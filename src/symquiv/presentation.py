@@ -16,7 +16,7 @@ from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import ValidationError
-from .linalg import (ZERO, RationalMatrix, column_space_complement,
+from .linalg import (RationalMatrix, _int_product, column_space_complement,
                      coordinates_in_span, kernel_basis)
 from .quiver import DimensionVector, Quiver
 from .representation import Representation
@@ -66,41 +66,25 @@ def path_combo(*items) -> PathCombo:
     return {p: c for p, c in out.items() if c}
 
 
-def _int_product(a: List[List[int]], b: List[List[int]], cols: int) -> List[List[int]]:
-    """The product of two int matrices given as rows; ``cols`` is b's width."""
-    out = []
-    for arow in a:
-        acc = [0] * cols
-        for x, brow in zip(arow, b):
-            if x:
-                acc = [u + x * v for u, v in zip(acc, brow)]
-        out.append(acc)
-    return out
-
-
 def evaluate_template(t: PathMatrix, w: Representation) -> RationalMatrix:
     """The block matrix Hom(template, w); block (r, c) maps W(col) to W(row).
 
     The result is always (sum of W at the row vertices) x (sum of W at the
     column vertices), also when either sum is zero.  Path products are
-    formed on ints: each arrow matrix is cleared of denominators once, each
-    distinct path prefix is multiplied out once, and each block is an
-    integer combination over one common denominator, written row by row
-    into the result.
+    formed on ints: each distinct path prefix is multiplied out once from
+    the arrow numerators, each block is an integer combination over its own
+    denominator, and the blocks are written over the lcm of those.
     """
     dim = w.dim
     q = t.quiver
     products: Dict[Path, Tuple[List[List[int]], int]] = {}
 
     def product(path: Path) -> Tuple[List[List[int]], int]:
-        """Int rows n and a denominator d with n / d the matrix of the path;
-        a one-arrow path is the arrow matrix cleared of denominators."""
+        """Int rows n and a denominator d with n / d the matrix of the path."""
         if path not in products:
             if len(path) == 1:
                 m = w.matrices[path[0]]
-                den = lcm(*(x.denominator for x in m.data))
-                products[path] = ([[x.numerator * (den // x.denominator) for x in m.row(i)]
-                                   for i in range(m.rows)], den)
+                products[path] = (m.int_rows(), m.den)
             else:
                 (a, da), (n, d) = product(path[-1:]), product(path[:-1])
                 products[path] = (_int_product(a, n, dim[q.arrow_by_name[path[0]].tail]),
@@ -109,9 +93,9 @@ def evaluate_template(t: PathMatrix, w: Representation) -> RationalMatrix:
 
     heights = [dim[v] for v in t.rows]
     widths = [dim[v] for v in t.cols]
-    data: List[Fraction] = []
+    strips = []                             # per row: (int rows, denominator) per block
     for r, height in enumerate(heights):
-        strip = []                          # (int rows, denominator) per block
+        strip = []
         for c, width in enumerate(widths):
             terms = []
             for path, coeff in t.entries[r][c].items():
@@ -127,10 +111,15 @@ def evaluate_template(t: PathMatrix, w: Representation) -> RationalMatrix:
                 block = [[u + k * x for u, x in zip(brow, nrow)]
                          for brow, nrow in zip(block, n)]
             strip.append((block, den))
+        strips.append(strip)
+    den = lcm(*(d for strip in strips for _, d in strip))
+    num: List[int] = []
+    for strip, height in zip(strips, heights):
         for i in range(height):
-            for block, den in strip:
-                data.extend(Fraction(x, den) if x else ZERO for x in block[i])
-    return RationalMatrix(sum(heights), sum(widths), data)
+            for block, d in strip:
+                s = den // d
+                num.extend(s * x for x in block[i])
+    return RationalMatrix._from_ints(sum(heights), sum(widths), num, den)
 
 
 def template_is_square(t: PathMatrix, w: Representation) -> bool:

@@ -118,8 +118,9 @@ def reflect_rep(q: Quiver, x: int, direction: str, v: Representation):
         off = 0
         for a in arrows:
             height = v.dim[a.head]
-            incl = RationalMatrix(proj.rows, height, [e for i in range(proj.rows)
-                                                      for e in proj.row(i)[off:off + height]])
+            incl = RationalMatrix._from_ints(
+                proj.rows, height, [x for row in proj.int_rows() for x in row[off:off + height]],
+                proj.den)
             mats[a.name] = incl  # reversed arrow head -> x
             off += height
         return qr, Representation(qr, new_dim, mats)

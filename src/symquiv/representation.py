@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Dict
 
@@ -45,14 +46,9 @@ class Representation:
         for a in self.quiver.arrows:
             m1 = self.matrices[a.name]
             m2 = other.matrices[a.name]
-            block = RationalMatrix.zero(m1.rows + m2.rows, m1.cols + m2.cols)
-            for i in range(m1.rows):
-                for j in range(m1.cols):
-                    block[i, j] = m1[i, j]
-            for i in range(m2.rows):
-                for j in range(m2.cols):
-                    block[m1.rows + i, m1.cols + j] = m2[i, j]
-            mats[a.name] = block
+            mats[a.name] = RationalMatrix.block(
+                [[m1, RationalMatrix.zero(m1.rows, m2.cols)],
+                 [RationalMatrix.zero(m2.rows, m1.cols), m2]])
         return Representation(self.quiver, dim, mats)
 
     def __repr__(self):
@@ -87,8 +83,9 @@ def dvw_matrix(v: Representation, w: Representation) -> RationalMatrix:
     col_sizes = [w.dim[x] * v.dim[x] for x in verts]
     row_sizes = [w.dim[a.head] * v.dim[a.tail] for a in arrows]
     total_c = sum(col_sizes)
-    total_r = sum(row_sizes)
-    out = RationalMatrix.zero(total_r, total_c)
+    # one denominator for every arrow matrix of v and w
+    den = lcm(*(rep.matrices[a.name].den for rep in (v, w) for a in arrows))
+    out = [0] * (sum(row_sizes) * total_c)
     col_off = {}
     off = 0
     for x, sz in zip(verts, col_sizes):
@@ -99,31 +96,26 @@ def dvw_matrix(v: Representation, w: Representation) -> RationalMatrix:
         wd_h, vd_t = w.dim[a.head], v.dim[a.tail]
         # f(ha) V(a): rows (p, q) over W(ha) x V(ta); block I (x) V(a)^t
         va = v.matrices[a.name]
+        va_rows = [[x * (den // va.den) for x in row] for row in va.int_rows()]
         base_c = col_off[a.head]
-        wd_ha = w.dim[a.head]
         vd_ha = v.dim[a.head]
         for p in range(wd_h):
             for qq in range(vd_t):
-                r = row_off + p * vd_t + qq
+                r = (row_off + p * vd_t + qq) * total_c + base_c + p * vd_ha
                 for s in range(vd_ha):
-                    coeff = va[s, qq]
-                    if coeff:
-                        c = base_c + p * vd_ha + s
-                        out[r, c] = out[r, c] + coeff
+                    out[r + s] += va_rows[s][qq]
         # minus W(a) f(ta)
         wa = w.matrices[a.name]
+        wa_rows = [[x * (den // wa.den) for x in row] for row in wa.int_rows()]
         base_c = col_off[a.tail]
         wd_ta = w.dim[a.tail]
         for p in range(wd_h):
             for qq in range(vd_t):
-                r = row_off + p * vd_t + qq
+                r = (row_off + p * vd_t + qq) * total_c + base_c + qq
                 for s in range(wd_ta):
-                    coeff = wa[p, s]
-                    if coeff:
-                        c = base_c + s * vd_t + qq
-                        out[r, c] = out[r, c] - coeff
+                    out[r + s * vd_t] -= wa_rows[p][s]
         row_off += rsz
-    return out
+    return RationalMatrix._from_ints(row_off, total_c, out, den)
 
 
 def dvw_and_homext(v: Representation, w: Representation):

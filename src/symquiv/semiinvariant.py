@@ -217,9 +217,9 @@ def pencil_coefficients(pencil, w: StructuredRepresentation, kind: str) -> Dict[
         _check_skew(m0)
         _check_skew(m1)
         degree, kernel = n // 2, _pf_int
-    den = lcm(*(x.denominator for x in m0.data), *(x.denominator for x in m1.data))
-    z0 = [x.numerator * (den // x.denominator) for x in m0.data]
-    step = [y.numerator * (den // y.denominator) - z for y, z in zip(m1.data, z0)]
+    den = lcm(m0.den, m1.den)
+    z0 = [x * (den // m0.den) for x in m0.num]
+    step = [y * (den // m1.den) - z for y, z in zip(m1.num, z0)]
     pts = []
     for t in range(degree + 1):
         node = [z + t * s for z, s in zip(z0, step)]
@@ -256,7 +256,7 @@ def _skew_witnesses(sq: SymmetricQuiver, flavor: str, beta, seed: int = 0,
                          + [seed + 7777 + 101 * k for k in range(count - 2)])
 
 
-def _is_skew(rows: List[List[Fraction]], signs: List[int]) -> bool:
+def _is_skew(rows: List[List[int]], signs: List[int]) -> bool:
     """Whether the square matrix with row i equal to signs[i] * rows[i] is
     skew-symmetric."""
     for i, (row, s) in enumerate(zip(rows, signs)):
@@ -279,12 +279,13 @@ def _skew_search(heights: List[int], perms, evaluations) -> Optional[Tuple]:
     is called once, on the first candidate that passes all before it.
     """
     starts = list(accumulate([0] + heights))
-    evaluated: List[List[List[Fraction]]] = []
+    evaluated: List[List[List[int]]] = []
 
-    def rows(k: int) -> List[List[Fraction]]:
+    def rows(k: int) -> List[List[int]]:
+        """The numerator rows of the k-th matrix: skew symmetry does not
+        depend on the positive common denominator."""
         if k == len(evaluated):
-            m = evaluations[k]()
-            evaluated.append([m.row(i) for i in range(m.rows)])
+            evaluated.append(evaluations[k]().int_rows())
         return evaluated[k]
 
     for perm in perms:

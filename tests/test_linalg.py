@@ -298,3 +298,32 @@ def test_kernel_deterministic_order():
     m = RationalMatrix.from_rows([[1, 1, 0, 2]])
     kb = kernel_basis(m)
     assert kb[0][1] == 1 and kb[1][2] == 1 and kb[2][3] == 1
+
+
+def test_index_outside_the_shape_raises():
+    m = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    for key in ((0, 2), (2, 0), (-1, -1), (0, -1), (-1, 0)):
+        with pytest.raises(IndexError):
+            m[key]
+        with pytest.raises(IndexError):
+            m[key] = 9
+    for i in (2, -1, -2):
+        with pytest.raises(IndexError):
+            m.row(i)
+    assert m == RationalMatrix.from_rows([[1, 2], [3, 4]])
+    assert RationalMatrix.zero(0, 3).data == []
+    with pytest.raises(IndexError):
+        RationalMatrix.zero(0, 3)[0, 0]
+
+
+def test_float_entries_raise_type_error():
+    with pytest.raises(TypeError):
+        RationalMatrix(1, 1, [0.1])
+    with pytest.raises(TypeError):
+        RationalMatrix.from_rows([[1, 0.5]])
+    m = RationalMatrix.identity(2)
+    with pytest.raises(TypeError):
+        m[0, 1] = 0.5
+    assert m == RationalMatrix.identity(2)
+    # ints (bool included) and Fractions are the exact entries
+    assert RationalMatrix(1, 3, [True, 2, Fraction(1, 2)]).data == [1, 2, Fraction(1, 2)]
