@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Tuple
 
 from .errors import ParseError
@@ -28,14 +29,27 @@ def parse_int(tok: str) -> int:
         raise ParseError("bad integer %r" % tok) from exc
 
 
-def parse_rational(tok: str) -> Fraction:
+def _parse_ratio(tok: str) -> Tuple[int, int]:
+    """A rational token ``a`` or ``a/b`` as ints (numerator, nonzero
+    denominator), not reduced."""
     try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = map(int, tok.split("/")) if "/" in tok else (int(tok), 1)
+    except ValueError as exc:
         raise ParseError("bad rational %r" % tok) from exc
+    if den == 0:
+        raise ParseError("bad rational %r" % tok)
+    return num, den
+
+
+def parse_rational(tok: str) -> Fraction:
+    return Fraction(*_parse_ratio(tok))
+
+
+def _matrix_from_ratios(rows: int, cols: int, ratios: List[Tuple[int, int]]) -> RationalMatrix:
+    """The matrix of row-major (numerator, denominator) pairs, over the
+    (positive) lcm of the denominators."""
+    den = lcm(*(d for _, d in ratios))
+    return RationalMatrix._from_ints(rows, cols, [n * (den // d) for n, d in ratios], den)
 
 
 def format_rational(x: Fraction) -> str:
@@ -136,15 +150,15 @@ def parse_representation(text: str, sq: SymmetricQuiver) -> StructuredRepresenta
                 arrow = parts[1]
                 r, c = parts[2].split("x")
                 r, c = int(r), int(c)
-                entries: List[Fraction] = []
+                entries: List[Tuple[int, int]] = []
                 for _ in range(r):
                     row = _strip(lines[idx])
                     idx += 1
                     toks = row.split()
                     if len(toks) != c:
                         raise ParseError("matrix row needs %d entries" % c)
-                    entries.extend(parse_rational(t) for t in toks)
-                mats[arrow] = RationalMatrix(r, c, entries)
+                    entries.extend(_parse_ratio(t) for t in toks)
+                mats[arrow] = _matrix_from_ratios(r, c, entries)
             else:
                 raise ParseError("unknown directive %r" % key)
         except (IndexError, ValueError) as exc:
@@ -285,9 +299,9 @@ def parse_matrix(text: str) -> RationalMatrix:
         line = _strip(raw)
         if not line:
             continue
-        rows.append([parse_rational(t) for t in line.split()])
+        rows.append([_parse_ratio(t) for t in line.split()])
     if not rows:
         raise ParseError("empty matrix file")
     if len(set(len(r) for r in rows)) != 1:
         raise ParseError("ragged matrix rows")
-    return RationalMatrix.from_rows(rows)
+    return _matrix_from_ratios(len(rows), len(rows[0]), [x for row in rows for x in row])

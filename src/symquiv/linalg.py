@@ -13,7 +13,7 @@ and determinant, and the Pfaffian has its own skew elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import NotSkewSymmetric, NotSquare, OddDimension, ValidationError
@@ -459,7 +459,8 @@ def interpolate_polynomial(points: Sequence) -> List[Fraction]:
 
     ``points`` is a sequence of (x, y) pairs with distinct rational x.  Newton
     divided differences, expanded to monomial coefficients: O(n^2) exact
-    operations.  Trailing zero coefficients are dropped.
+    operations.  Trailing zero coefficients are dropped.  Integer values at
+    the nodes 0..d take the all-int route of :func:`_interpolate_int`.
     """
     xs = [Fraction(x) for x, _ in points]
     dd = [Fraction(y) for _, y in points]
@@ -478,3 +479,30 @@ def interpolate_polynomial(points: Sequence) -> List[Fraction]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def _interpolate_int(values: Sequence[int], scale: int = 1) -> List[Fraction]:
+    """Coefficients c_0..c_d of the polynomial p of degree <= d with
+    scale * p(t) = values[t] at the nodes t = 0..d.
+
+    On these nodes the Newton form runs on ints: d! p(t) is the sum over k
+    of the k-th forward difference of the values at 0, times d!/k!, times
+    t(t-1)..(t-k+1), expanded by Horner.  One Fraction per coefficient
+    divides by d! * scale.  Trailing zero coefficients are dropped.
+    """
+    n = len(values)
+    diff = list(values)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            diff[i] -= diff[i - 1]
+    coeffs: List[int] = []
+    ratio = 1                                  # d!/k! at step k
+    for k in range(n - 1, -1, -1):
+        # coeffs * (t - k) + the k-th Newton term
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += diff[k] * ratio
+        ratio *= k
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    denom = factorial(max(n - 1, 0)) * scale
+    return [Fraction(c, denom) for c in coeffs]

@@ -122,10 +122,6 @@ def evaluate_template(t: PathMatrix, w: Representation) -> RationalMatrix:
     return RationalMatrix._from_ints(sum(heights), sum(widths), num, den)
 
 
-def template_is_square(t: PathMatrix, w: Representation) -> bool:
-    return sum(w.dim[v] for v in t.rows) == sum(w.dim[v] for v in t.cols)
-
-
 # -- modules from presentations ------------------------------------------------
 
 class _ProjSum:

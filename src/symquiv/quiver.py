@@ -225,8 +225,10 @@ class DimensionVector(Frozen):
     def __eq__(self, other) -> bool:
         if not isinstance(other, DimensionVector):
             return NotImplemented
-        keys = set(self._values) | set(other._values)
-        return all(self[k] == other[k] for k in keys)
+        a, b = self._values, other._values
+        if a.keys() == b.keys():
+            return a == b
+        return all(self[k] == other[k] for k in set(a) | set(b))
 
     def __hash__(self):
         return hash(tuple(sorted((k, v) for k, v in self._values.items() if v)))

@@ -4,7 +4,7 @@ Coxeter translation, and the duality functor."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import NotAdmissible, NonzeroOnFixedVertex, NotSinkOrSource
 from .linalg import RationalMatrix, column_space_complement, kernel_basis
@@ -147,33 +147,57 @@ def _admissible_numbering(q: Quiver, direction: str) -> Tuple[int, ...]:
 
 
 def _numbering(q: Quiver, direction: str) -> Tuple[int, ...]:
+    """Reflects the arrow list itself: no reflected quiver is built."""
     order = []
-    cur = q
+    arrows = [(a.tail, a.head) for a in q.arrows]
     remaining = set(q.vertices)
     while remaining:
-        pick = None
-        for v in sorted(remaining):
-            ok = cur.is_sink(v) if direction == PLUS else cur.is_source(v)
-            if ok:
-                pick = v
-                break
+        # a sink is the tail of no arrow, a source the head of none
+        blocked = {t if direction == PLUS else h for t, h in arrows}
+        pick = min((v for v in remaining if v not in blocked), default=None)
         assert pick is not None, "acyclic quivers always have a sink and a source"
         order.append(pick)
-        cur = cur.reverse_arrows_at(pick)
+        arrows = [(h, t) if pick in (t, h) else (t, h) for t, h in arrows]
         remaining.discard(pick)
     return tuple(order)
+
+
+def _coxeter_word(q: Quiver, direction: str) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """The reflection word of the Coxeter translation on vectors indexed
+    like ``q.vertices``: one (position, neighbour positions) pair per
+    reflection, along the admissible numbering; computed once per quiver
+    and direction."""
+    return q.cached(("coxeter_word", direction), lambda q: _index_word(q, direction))
+
+
+def _index_word(q: Quiver, direction: str) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    pos = {v: i for i, v in enumerate(q.vertices)}
+    return tuple((pos[x], tuple(pos[y] for y in q.neighbours(x)))
+                 for x in _admissible_numbering(q, direction))
+
+
+def _apply_word(word, x: List[int]) -> List[int]:
+    """Run a reflection word of :func:`_coxeter_word` on the int list x, in
+    place: each reflection sets x[i] to the sum over its neighbours minus
+    x[i].  Returns x."""
+    for i, adj in word:
+        y = -x[i]
+        for j in adj:
+            y += x[j]
+        x[i] = y
+    return x
 
 
 def coxeter_dim(q: Quiver, alpha: DimensionVector, direction: str) -> DimensionVector:
     """Full reflection word along the ascending admissible numbering.
 
     The reflection at x reads only the neighbours of x, which reversing
-    arrows leaves unchanged, so the word runs on one dict of entries without
+    arrows leaves unchanged, so the word runs on one list of entries without
     building the reflected quivers.
     """
+    verts = q.vertices
     vals = dict(alpha.values)
-    for x in _admissible_numbering(q, direction):
-        vals[x] = sum(vals.get(y, 0) for y in q.neighbours(x)) - vals.get(x, 0)
+    vals.update(zip(verts, _apply_word(_coxeter_word(q, direction), [alpha[v] for v in verts])))
     return DimensionVector(vals)
 
 

@@ -13,10 +13,9 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
                      NotFiniteType, NotSquare, NotSkewSymmetric, NotTame,
                      OddSymplecticDimension, PatternNotFound, ValidationError)
-from .linalg import (RationalMatrix, _check_skew, _det_int, _pf_int, determinant,
-                     interpolate_polynomial, pfaffian)
-from .presentation import (PathMatrix, evaluate_template, minimal_presentation,
-                           template_is_square)
+from .linalg import (RationalMatrix, _check_skew, _det_int, _interpolate_int, _pf_int,
+                     determinant, pfaffian)
+from .presentation import PathMatrix, evaluate_template, minimal_presentation
 from .quiver import DimensionVector, Quiver, euler_form
 from .representation import (Representation, StructuredRepresentation,
                              dvw_matrix, random_structured)
@@ -201,7 +200,8 @@ def pencil_coefficients(pencil, w: StructuredRepresentation, kind: str) -> Dict[
     at t = 0 and t = 1 only.  With ``den`` a common denominator of M(0) and
     M(1), the nodes den M(t) = den M(0) + t den (M(1) - M(0)) are int
     matrices that go straight to the integer kernel; the polynomial of the
-    nodes is den^n det M(t) or den^(n/2) pf M(t).  Every node is an affine
+    nodes is den^n det M(t) or den^(n/2) pf M(t), interpolated on ints from
+    its values at t = 0..degree.  Every node is an affine
     combination of M(0) and M(1), so checking those two for skew symmetry
     checks them all.
     """
@@ -220,12 +220,11 @@ def pencil_coefficients(pencil, w: StructuredRepresentation, kind: str) -> Dict[
     den = lcm(m0.den, m1.den)
     z0 = [x * (den // m0.den) for x in m0.num]
     step = [y * (den // m1.den) - z for y, z in zip(m1.num, z0)]
-    pts = []
+    values = []
     for t in range(degree + 1):
         node = [z + t * s for z, s in zip(z0, step)]
-        pts.append((t, kernel([node[i * n:(i + 1) * n] for i in range(n)])))
-    scale = den ** degree
-    return {i: c / scale for i, c in enumerate(interpolate_polynomial(pts)) if c}
+        values.append(kernel([node[i * n:(i + 1) * n] for i in range(n)]))
+    return {i: c for i, c in enumerate(_interpolate_int(values, den ** degree)) if c}
 
 
 class _SeededPoints(Sequence):
@@ -477,19 +476,23 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
                 return []
     orbits = tau_orbits(sq)
     dec = canonical_decomposition(sq, d)
+
+    def size(vertices) -> int:
+        """The height (row vertices) or width (column vertices) of a
+        template evaluated at a point of dimension d."""
+        return sum(d[v] for v in vertices)
+
     out: List[GeneratorDescriptor] = []
     # the coefficient family of the parameter pencil
     pen = pencil_templates(sq)
     kind = PENCIL_KIND[(st.tag, flavor)]
     # every seeded decision point is drawn once, and shared by all candidates
-    w0 = random_structured(sq, flavor, d, seed=424242)
     checks = _SeededPoints(sq, flavor, d, [1000 + s for s in (0, 1, 2)])
     witnesses = _skew_witnesses(sq, flavor, d)
-    probe = evaluate_template(pen.combine(Fraction(1), Fraction(1)), w0.full())
-    use_pencil = probe.is_square()
+    use_pencil = size(pen.rows) == size(pen.cols)
     if use_pencil and kind == "pf":
         normalized = _skew_normalize_pencil(pen, witnesses)
-        if normalized is None or probe.rows % 2:
+        if normalized is None or size(pen.rows) % 2:
             use_pencil = False
         else:
             pen = normalized
@@ -554,8 +557,7 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
                 cand = GeneratorDescriptor(
                     "det", template_weight(sq, t),
                     "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length), template=t)
-                if _nonzero_at(cand, checks) and \
-                        template_is_square(t, w0.full()):
+                if _nonzero_at(cand, checks) and size(t.rows) == size(t.cols):
                     desc = cand
             if desc is not None:
                 out.append(desc)

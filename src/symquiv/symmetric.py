@@ -36,7 +36,8 @@ class SymmetricQuiver(Frozen):
     """A quiver with a contravariant involution on vertices and arrows.
 
     Immutable, like its base quiver; invariants derived from it (the
-    translation orbits) are kept per object through :meth:`cached`.
+    symmetric type and the translation orbits) are kept per object through
+    :meth:`cached`.
     """
 
     __slots__ = ("base", "sigma_v", "sigma_a", "v_plus", "v_fixed", "v_minus",
@@ -204,7 +205,15 @@ def _cycle_order(q: Quiver) -> List[Tuple[int, str, int]]:
 
 
 def classify_symmetric(sq: SymmetricQuiver) -> SymmetricType:
-    """Finite/tame family of a symmetric quiver, with the (s,t,k,l) signature."""
+    """Finite/tame family of a symmetric quiver, with the (s,t,k,l) signature.
+
+    Computed once per symmetric quiver object; nothing is kept when the
+    structure is unsupported, and every such call raises again.
+    """
+    return sq.cached("classify", _classify)
+
+
+def _classify(sq: SymmetricQuiver) -> SymmetricType:
     gt = validate_and_classify(sq.base)
     s = len(sq.a_fixed)
     t = len(sq.v_fixed)

@@ -14,7 +14,8 @@ from .errors import (IndexOutOfOrbit, NotRegular, NotSymmetric,
 from .linalg import RationalMatrix, solve
 from .presentation import PathMatrix, module_from_presentation
 from .quiver import DimensionVector, Quiver, defect, null_root
-from .reflection import MINUS, PLUS, coxeter_dim, coxeter_rep, dual_rep
+from .reflection import (MINUS, PLUS, _apply_word, _coxeter_word, coxeter_dim,
+                         coxeter_rep, dual_rep)
 from .representation import Representation
 from .symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver,
                         _cycle_order, classify_symmetric)
@@ -80,7 +81,13 @@ class LabelledPolygon:
 
 
 def _candidate_regular_simples(q: Quiver) -> List[DimensionVector]:
-    """The positive real roots below h, other than h, with zero defect.
+    """The positive real roots below h, other than h, with zero defect."""
+    return list(_dimension_vectors(q.vertices, _regular_simple_roots(q)))
+
+
+def _regular_simple_roots(q: Quiver) -> List[Tuple[int, ...]]:
+    """The positive real roots below h, other than h, with zero defect, as
+    int tuples in ``q.vertices`` order.
 
     Every positive real root is reached from a simple root by simple
     reflections that each raise one coordinate (Kac 1980), so every root on
@@ -90,27 +97,28 @@ def _candidate_regular_simples(q: Quiver) -> List[DimensionVector]:
     Ringel 1976).  The defect is linear, with coefficients h(x) minus the
     sum of h over the tails of arrows into x.
     """
-    verts = list(q.vertices)
+    verts = q.vertices
+    n = len(verts)
     h = null_root(q).as_tuple(verts)
     pos = {v: i for i, v in enumerate(verts)}
     arrows = [(pos[a.tail], pos[a.head]) for a in q.arrows]
-    coeffs = [h[i] - sum(h[t] for t, s in arrows if s == i) for i in range(len(verts))]
-    # the neighbours of each vertex, once per arrow
-    nbrs = {i: [s if t == i else t for t, s in arrows if i in (t, s)]
-            for i in range(len(verts))}
-    seen = {tuple(int(j == i) for j in range(len(verts))) for i in nbrs}
+    coeffs = [h[i] - sum(h[t] for t, s in arrows if s == i) for i in range(n)]
+    # the simple reflections, each with the neighbours of its vertex
+    word = _coxeter_word(q, PLUS)
+    seen = {tuple(int(j == i) for j in range(n)) for i in range(n)}
     stack = list(seen)
     while stack:
         x = stack.pop()
-        for j, adj in nbrs.items():
-            y = sum(x[k] for k in adj) - x[j]        # s_j(x) at j
+        for j, adj in word:
+            y = -x[j]                                # s_j(x) at j
+            for k in adj:
+                y += x[k]
             if x[j] < y <= h[j]:
                 z = x[:j] + (y,) + x[j + 1:]
                 if z not in seen:
                     seen.add(z)
                     stack.append(z)
-    return [DimensionVector(dict(zip(verts, x))) for x in seen
-            if x != h and sum(map(mul, coeffs, x)) == 0]
+    return [x for x in seen if x != h and sum(map(mul, coeffs, x)) == 0]
 
 
 def tau_orbits(sq: SymmetricQuiver) -> TauOrbits:
@@ -124,22 +132,27 @@ def tau_orbits(sq: SymmetricQuiver) -> TauOrbits:
 
 
 def _polygons(sq: SymmetricQuiver) -> Tuple[Polygon, ...]:
+    """The polygons of :func:`tau_orbits`.  The orbits are walked on int
+    tuples in ``q.vertices`` order; dimension vectors are built only for the
+    polygons handed out."""
     st = classify_symmetric(sq)
     if st.tag == "FiniteA":
         raise UnsupportedSymmetricType("translation orbits need a tame quiver")
     q = sq.base
-    h = null_root(q)
-    candidates = set(_candidate_regular_simples(q))
-    orbits: List[List[DimensionVector]] = []
+    verts = q.vertices
+    h = null_root(q).as_tuple(verts)
+    word = _coxeter_word(q, PLUS)
+    candidates = set(_regular_simple_roots(q))
+    orbits: List[List[Tuple[int, ...]]] = []
     seen = set()
-    for alpha in sorted(candidates, key=lambda a: a.as_tuple(q.vertices)):
+    for alpha in sorted(candidates):
         if alpha in seen:
             continue
         orbit = [alpha]
         seen.add(alpha)
         cur = alpha
         while True:
-            cur = coxeter_dim(q, cur, PLUS)
+            cur = tuple(_apply_word(word, list(cur)))
             if cur == alpha:
                 break
             if cur not in candidates or len(orbit) > len(candidates):
@@ -149,40 +162,51 @@ def _polygons(sq: SymmetricQuiver) -> Tuple[Polygon, ...]:
             seen.add(cur)
         if orbit is None:
             continue
-        total = orbit[0]
-        for e in orbit[1:]:
-            total = total + e
-        if total == h:
+        if tuple(map(sum, zip(*orbit))) == h:
             orbits.append(orbit)
-    orbits.sort(key=lambda o: (-len(o), o[0].as_tuple(q.vertices)))
+    orbits.sort(key=lambda o: (-len(o), o[0]))
+    # delta on tuples: position i reads the position of sigma of vertex i
+    pos = {v: i for i, v in enumerate(verts)}
+    perm = [pos[sq.sv(v)] for v in verts]
+
+    def delta(x: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(x[j] for j in perm)
+
     names = ["delta", "delta1", "delta2"]
     polygons: List[Polygon] = []
     for oi, orbit in enumerate(orbits):
         # locate the delta image of the orbit
-        img = sq.delta(orbit[0])
+        img = delta(orbit[0])
         target = next((oj for oj, other in enumerate(orbits) if img in other), None)
         assert target is not None, "delta must permute the orbits"
         if target != oi:
-            polygons.append(Polygon(names[oi], tuple(orbit), None, partner=names[target]))
+            polygons.append(Polygon(names[oi], _dimension_vectors(verts, orbit), None,
+                                    partner=names[target]))
             continue
         # rotate a self-paired polygon so the anchor pole sits at index 0
         r = len(orbit)
-        sigma = _index_involution(sq, orbit)
+        sigma = _index_involution(delta, orbit)
         fixed = [i for i in range(r) if sigma[i] == i]
         if fixed:
-            anchor = min(fixed, key=lambda i: orbit[i].as_tuple(q.vertices))
+            anchor = min(fixed, key=orbit.__getitem__)
         else:
             edges = [i for i in range(r) if sigma[i] == (i + 1) % r]
-            anchor = min(edges, key=lambda i: orbit[i].as_tuple(q.vertices))
-        dims = tuple(orbit[anchor:] + orbit[:anchor])
-        sigma = _index_involution(sq, dims)
+            anchor = min(edges, key=orbit.__getitem__)
+        rotated = orbit[anchor:] + orbit[:anchor]
+        sigma = _index_involution(delta, rotated)
+        dims = _dimension_vectors(verts, rotated)
         polygons.append(Polygon(names[oi], dims, sigma,
                                 poles=_find_poles(sq, dims, sigma)))
     return tuple(polygons)
 
 
-def _index_involution(sq: SymmetricQuiver, dims: Sequence[DimensionVector]) -> Tuple[int, ...]:
-    return tuple(dims.index(sq.delta(e)) for e in dims)
+def _dimension_vectors(verts: Sequence[int],
+                       tuples: Sequence[Tuple[int, ...]]) -> Tuple[DimensionVector, ...]:
+    return tuple(DimensionVector(dict(zip(verts, x))) for x in tuples)
+
+
+def _index_involution(delta, dims: List[Tuple[int, ...]]) -> Tuple[int, ...]:
+    return tuple(dims.index(delta(e)) for e in dims)
 
 
 def _find_poles(sq: SymmetricQuiver, dims: Tuple[DimensionVector, ...],
@@ -505,11 +529,11 @@ class Pencil:
             row = []
             for c in range(len(self.cols)):
                 combo: dict = {}
-                for src, coeff in ((self.phi_entries[r][c], Fraction(phi)),
-                                   (self.psi_entries[r][c], Fraction(psi)),
-                                   (self.const_entries[r][c], Fraction(1))):
+                for src, coeff in ((self.phi_entries[r][c], phi),
+                                   (self.psi_entries[r][c], psi),
+                                   (self.const_entries[r][c], 1)):
                     for p, v in src.items():
-                        combo[p] = combo.get(p, Fraction(0)) + coeff * v
+                        combo[p] = combo.get(p, 0) + coeff * v
                 row.append({p: v for p, v in combo.items() if v})
             entries.append(row)
         return PathMatrix(self.quiver, list(self.rows), list(self.cols), entries)

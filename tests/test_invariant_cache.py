@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from symquiv import cli, families, io as sqio, quiver
+from symquiv.errors import UnsupportedSymmetricType
+from symquiv import cli, families, io as sqio, quiver, symmetric
 from symquiv.quiver import DimensionVector, Quiver, null_root
 from symquiv.reflection import MINUS, PLUS, coxeter_dim, reflect_dim
 from symquiv.symmetric import SymmetricQuiver, admissible_sinks, reflect_pair_quiver
@@ -42,6 +43,38 @@ def test_generators_solves_null_root_once_per_quiver(tmp_path, monkeypatch):
         assert solved, "the command needs the null root"
         assert len({id(q) for q in solved}) == len(solved)
         assert len(kernels) == len(solved)
+
+
+def test_generators_classifies_each_symmetric_quiver_once(tmp_path, monkeypatch):
+    sq = families.d10(4)
+    path = tmp_path / "d10.quiver"
+    path.write_text(sqio.serialize_quiver(sq))
+    dim = ",".join(str(x) for x in null_root(sq.base).scale(2).as_tuple(sq.base.vertices))
+    classified, shapes = [], []
+    real_classify, real_shape = symmetric._classify, symmetric.validate_and_classify
+    monkeypatch.setattr(symmetric, "_classify",
+                        lambda s: classified.append(s) or real_classify(s))
+    monkeypatch.setattr(symmetric, "validate_and_classify",
+                        lambda q: shapes.append(q) or real_shape(q))
+    for flavor in ("sp", "o"):
+        classified.clear()
+        shapes.clear()
+        argv = ["generators", "-q", str(path), "--dim", dim, "--flavor", flavor,
+                "--check-invariance", "1"]
+        assert cli.main(argv) == 0
+        assert classified, "the command needs the symmetric type"
+        assert len({id(s) for s in classified}) == len(classified)
+        assert len(shapes) == len(classified)
+
+
+def test_unsupported_symmetric_type_is_not_kept():
+    # a triple arrow: a wild underlying graph
+    q = Quiver([1, 2], [("a", 1, 2), ("b", 1, 2), ("c", 1, 2)])
+    sq = SymmetricQuiver(q, {1: 2, 2: 1}, {"a": "a", "b": "b", "c": "c"})
+    for _ in range(2):
+        with pytest.raises(UnsupportedSymmetricType):
+            symmetric.classify_symmetric(sq)
+    assert "classify" not in sq._memo
 
 
 def test_returned_invariants_cannot_change_the_memo():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from symquiv.errors import NotSkewSymmetric, OddDimension, ValidationError
-from symquiv.linalg import (RationalMatrix, column_space_complement, determinant,
-                            interpolate_polynomial, inverse, kernel_basis, linalg_kit,
+from symquiv.linalg import (RationalMatrix, _interpolate_int, column_space_complement,
+                            determinant, interpolate_polynomial, inverse, kernel_basis, linalg_kit,
                             pfaffian, pfaffian_matching_sum, rank, rref, solve)
 
 
@@ -292,6 +292,26 @@ def test_interpolation_roundtrip():
         pts = [(Fraction(t), sum(c * t ** i for i, c in enumerate(coeffs)))
                for t in range(d + 1)]
         assert interpolate_polynomial(pts) == _vandermonde_interpolation(pts)
+
+
+def test_integer_interpolation_matches_newton():
+    """The all-int interpolation at nodes 0..d equals the general routine at
+    every degree the pencils reach, for any positive scale, and on the zero
+    polynomial."""
+    rng = random.Random(4379)
+    for d in range(41):
+        for values in ([0] * (d + 1),
+                       [rng.randint(-10 ** 9, 10 ** 9) for _ in range(d + 1)],
+                       [rng.randint(-3, 3) for _ in range(d + 1)]):
+            for scale in (1, rng.randint(2, 10 ** 6)):
+                want = interpolate_polynomial([(t, Fraction(v, scale))
+                                               for t, v in enumerate(values)])
+                assert _interpolate_int(values, scale) == want, (d, values, scale)
+        # a polynomial of lower degree keeps only its own coefficients
+        coeffs = [rng.randint(-50, 50) for _ in range(d // 2)] + [1]
+        values = [sum(c * t ** i for i, c in enumerate(coeffs)) for t in range(d + 1)]
+        assert _interpolate_int(values) == coeffs
+    assert _interpolate_int([]) == []
 
 
 def test_kernel_deterministic_order():

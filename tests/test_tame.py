@@ -137,6 +137,63 @@ def test_large_family_orbits_and_generators(tmp_path, make):
         assert out.getvalue().strip()
 
 
+def _polygons_on_dimension_vectors(sq):
+    """Oracle of the orbit walk: the polygons found on DimensionVectors,
+    with coxeter_dim as the step and sq.delta as the involution."""
+    q = sq.base
+    verts = q.vertices
+    h = null_root(q)
+    candidates = set(_candidate_regular_simples(q))
+    orbits, seen = [], set()
+    for alpha in sorted(candidates, key=lambda a: a.as_tuple(verts)):
+        if alpha in seen:
+            continue
+        orbit, cur = [alpha], alpha
+        seen.add(alpha)
+        while True:
+            cur = coxeter_dim(q, cur, PLUS)
+            if cur == alpha:
+                break
+            if cur not in candidates or len(orbit) > len(candidates):
+                orbit = None
+                break
+            orbit.append(cur)
+            seen.add(cur)
+        if orbit is not None and sum(orbit[1:], orbit[0]) == h:
+            orbits.append(orbit)
+    orbits.sort(key=lambda o: (-len(o), o[0].as_tuple(verts)))
+
+    def involution(dims):
+        return tuple(dims.index(sq.delta(e)) for e in dims)
+
+    names = ["delta", "delta1", "delta2"]
+    out = []
+    for oi, orbit in enumerate(orbits):
+        img = sq.delta(orbit[0])
+        target = next(oj for oj, other in enumerate(orbits) if img in other)
+        if target != oi:
+            out.append((names[oi], tuple(orbit), None, names[target]))
+            continue
+        r = len(orbit)
+        sigma = involution(orbit)
+        ends = ([i for i in range(r) if sigma[i] == i]
+                or [i for i in range(r) if sigma[i] == (i + 1) % r])
+        anchor = min(ends, key=lambda i: orbit[i].as_tuple(verts))
+        dims = tuple(orbit[anchor:] + orbit[:anchor])
+        out.append((names[oi], dims, involution(list(dims)), None))
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: families.d10(12), lambda: families.d01(12),
+                                  lambda: families.a201(12, 2), None],
+                         ids=["d10(12)", "d01(12)", "a201(12,2)", "family quivers"])
+def test_tuple_orbit_walk_matches_dimension_vector_walk(make):
+    quivers = [make()] if make else list(_family_quivers()) + list(FAMILIES.values())
+    for sq in quivers:
+        got = [(p.name, p.dims, p.sigma, p.partner) for p in tau_orbits(sq).polygons]
+        assert got == _polygons_on_dimension_vectors(sq), sq.base.name
+
+
 def test_kronecker_has_no_polygons():
     assert tau_orbits(families.a201(0, 0)).polygons == []
 
