@@ -238,7 +238,3 @@ def d01(n: int) -> SymmetricQuiver:
         sa["c%d~" % i] = "c%d" % i
     return SymmetricQuiver(q, sv, sa)
 
-
-CANONICAL_BUILDERS = {
-    "A201": a201, "A202": a202, "A02": a02, "A11": a11,
-}

@@ -14,6 +14,7 @@ from .quiver import DimensionVector, Quiver
 from .representation import StructuredRepresentation
 from .semiinvariant import GeneratorDescriptor, Weight
 from .symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver
+from .tame import Pencil
 
 
 def _strip(line: str) -> str:
@@ -215,21 +216,15 @@ def descriptor_to_json(d: GeneratorDescriptor) -> str:
     if d.template is not None:
         rec["template"] = _template_to_json(d.template)
     if d.pencil is not None:
-        from .tame import Pencil
-        from .semiinvariant import _SkewPencil
         pen = d.pencil
-        signs = None
-        if isinstance(pen, _SkewPencil):
-            signs = list(pen.signs)
-            pen = pen.base
         rec["pencil"] = {
             "rows": list(pen.rows), "cols": list(pen.cols),
             "phi": [[_combo_to_json(e) for e in row] for row in pen.phi_entries],
             "psi": [[_combo_to_json(e) for e in row] for row in pen.psi_entries],
             "const": [[_combo_to_json(e) for e in row] for row in pen.const_entries],
         }
-        if signs:
-            rec["pencil"]["signs"] = signs
+        if pen.signs:
+            rec["pencil"]["signs"] = list(pen.signs)
         rec["index"] = d.index
     return json.dumps(rec, sort_keys=True)
 
@@ -241,6 +236,14 @@ def descriptor_from_json(line: str, sq: SymmetricQuiver) -> GeneratorDescriptor:
         raise ParseError("bad generator record %r" % line[:60]) from exc
 
 
+def _signs_from_json(signs, rows: int) -> Tuple[int, ...]:
+    """The row signs of a pencil record: one entry per row, each 1 or -1."""
+    if not (isinstance(signs, list) and len(signs) == rows
+            and all(type(s) is int and s in (1, -1) for s in signs)):
+        raise ParseError("pencil signs need one entry, 1 or -1, per row")
+    return tuple(signs)
+
+
 def _descriptor_from_record(rec, sq: SymmetricQuiver) -> GeneratorDescriptor:
     weight = Weight({int(k): parse_rational(v) for k, v in rec["weight"].items()})
     template = None
@@ -248,16 +251,13 @@ def _descriptor_from_record(rec, sq: SymmetricQuiver) -> GeneratorDescriptor:
     if "template" in rec:
         template = _template_from_json(rec["template"], sq.base)
     if "pencil" in rec:
-        from .tame import Pencil
-        from .semiinvariant import _SkewPencil
         pd = rec["pencil"]
-        pen = Pencil(sq.base, list(pd["rows"]), list(pd["cols"]),
-                     [[_combo_from_json(e) for e in row] for row in pd["phi"]],
-                     [[_combo_from_json(e) for e in row] for row in pd["psi"]],
-                     [[_combo_from_json(e) for e in row] for row in pd["const"]])
-        if pd.get("signs"):
-            pen = _SkewPencil(pen, tuple(pd["signs"]))
-        pencil = pen
+        rows = list(pd["rows"])
+        pencil = Pencil(sq.base, rows, list(pd["cols"]),
+                        [[_combo_from_json(e) for e in row] for row in pd["phi"]],
+                        [[_combo_from_json(e) for e in row] for row in pd["psi"]],
+                        [[_combo_from_json(e) for e in row] for row in pd["const"]],
+                        _signs_from_json(pd["signs"], len(rows)) if "signs" in pd else ())
     kind, index = rec["kind"], rec.get("index")
     if kind in ("det", "pf"):
         if template is None:

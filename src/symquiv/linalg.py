@@ -18,8 +18,6 @@ from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import NotSkewSymmetric, NotSquare, OddDimension, ValidationError
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -45,13 +45,6 @@ class PathMatrix:
                         raise ValidationError(
                             "entry path %r must run %r -> %r" % (path, pv, qv))
 
-    def entry(self, r: int, c: int) -> PathCombo:
-        return self.entries[r][c]
-
-    def scale_row(self, r: int, factor: Fraction) -> None:
-        for c in range(len(self.cols)):
-            self.entries[r][c] = {p: factor * x for p, x in self.entries[r][c].items()}
-
 
 def path_combo(*items) -> PathCombo:
     """Build a combination; items are paths or (coefficient, path) pairs."""

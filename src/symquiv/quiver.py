@@ -305,7 +305,12 @@ def _arm_lengths(q: Quiver, center: int) -> List[int]:
 
 
 def validate_and_classify(q: Quiver) -> GraphType:
-    """Shape of the underlying undirected multigraph."""
+    """Shape of the underlying undirected multigraph, computed once per
+    quiver object."""
+    return q.cached("graph_type", _graph_type)
+
+
+def _graph_type(q: Quiver) -> GraphType:
     nv = len(q.vertices)
     ne = len(q.arrows)
     if nv == 0 or not _connected(q):

@@ -12,6 +12,7 @@ from typing import Dict
 
 from .errors import (AsymmetricDimension, BadInterval, OddSymplecticDimension,
                      QuiverMismatch, ShapeMismatch, ValidationError)
+from .families import symmetric_a
 from .linalg import RationalMatrix, inverse as _inverse, linalg_kit
 from .quiver import DimensionVector, Frozen, Quiver
 from .symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver
@@ -59,7 +60,6 @@ def interval_module(n: int, j: int, i: int) -> Representation:
     """The indecomposable of equioriented A_n supported on [j, i]."""
     if not (1 <= j <= i <= n):
         raise BadInterval("need 1 <= j <= i <= n")
-    from .families import symmetric_a
     q = symmetric_a(n).base
     dim = DimensionVector({v: 1 if j <= v <= i else 0 for v in q.vertices})
     mats = {}

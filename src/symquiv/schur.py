@@ -10,6 +10,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AsymmetricWeight, UnsupportedQuiver, ValidationError
 from .quiver import DimensionVector
+from .semiinvariant import Weight
 from .symmetric import SYMPLECTIC, SymmetricQuiver, classify_symmetric
 
 Partition = Tuple[int, ...]
@@ -313,7 +314,6 @@ def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
     cases in each A-family.  ``chi`` is a Weight or a vertex dict and must
     vanish on sigma-fixed vertices.
     """
-    from .semiinvariant import Weight
     if not isinstance(chi, Weight):
         chi = Weight(chi)
     if not sq.is_symmetric_dim(beta):

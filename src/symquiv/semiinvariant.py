@@ -4,7 +4,7 @@ generator enumeration for finite and tame symmetric quivers."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, permutations, product as iproduct
 from math import lcm
@@ -20,6 +20,8 @@ from .quiver import DimensionVector, Quiver, euler_form
 from .representation import (Representation, StructuredRepresentation,
                              dvw_matrix, random_structured)
 from .symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver, classify_symmetric
+from .tame import (Pencil, admissible_arcs, canonical_decomposition, pencil_templates,
+                   pf_singleton_template, realize_interval)
 
 
 class Weight:
@@ -84,8 +86,7 @@ def euler_row(q: Quiver, alpha: DimensionVector) -> Weight:
     return Weight(vals)
 
 
-def weight_of_cv(sq: SymmetricQuiver, alpha: DimensionVector,
-                 flavor: str = SYMPLECTIC) -> Weight:
+def weight_of_cv(sq: SymmetricQuiver, alpha: DimensionVector) -> Weight:
     """Weight of the determinantal semi-invariant attached to alpha, with the
     coordinates at sigma-fixed vertices zeroed out."""
     w = euler_row(sq.base, alpha)
@@ -99,7 +100,10 @@ def gamma(sq: SymmetricQuiver, chi: Weight) -> Weight:
     return Weight({x: -chi[sq.sv(x)] for x in sq.base.vertices})
 
 
-def template_weight(sq: SymmetricQuiver, t: PathMatrix, half: bool = False) -> Weight:
+def template_weight(sq: SymmetricQuiver, t: PathMatrix | Pencil, half: bool = False) -> Weight:
+    """The weight of a determinant (or, halved, a pfaffian) of the template
+    or pencil: +1 per column vertex, -1 per row vertex, 0 on sigma-fixed
+    vertices."""
     vals = {x: Fraction(0) for x in sq.base.vertices}
     for v in t.cols:
         vals[v] += 1
@@ -143,7 +147,7 @@ class GeneratorDescriptor:
     weight: Weight
     provenance: str
     template: Optional[PathMatrix] = None
-    pencil: Optional[object] = None
+    pencil: Optional[Pencil] = None
     index: Optional[int] = None    # parameter exponent for pencil kinds
 
     def evaluate(self, w: StructuredRepresentation) -> Fraction:
@@ -154,18 +158,14 @@ class GeneratorDescriptor:
                 self.index if self.index is not None else -1, self.provenance)
 
 
-def _pencil_key(pencil) -> Tuple:
-    """A hashable value of a pencil (or a sign-normalized pencil): pencils
-    with equal keys evaluate to the same matrices at every representation."""
-    signs = ()
-    if isinstance(pencil, _SkewPencil):
-        signs, pencil = pencil.signs, pencil.base
-
+def _pencil_key(pencil: Pencil) -> Tuple:
+    """A hashable value of a pencil: pencils with equal keys evaluate to the
+    same matrices at every representation."""
     def grid(entries):
         return tuple(tuple(tuple(sorted(combo.items())) for combo in row)
                      for row in entries)
     return (tuple(pencil.rows), tuple(pencil.cols), grid(pencil.phi_entries),
-            grid(pencil.psi_entries), grid(pencil.const_entries), tuple(signs))
+            grid(pencil.psi_entries), grid(pencil.const_entries), tuple(pencil.signs))
 
 
 def evaluate_all(gens: List[GeneratorDescriptor],
@@ -192,7 +192,7 @@ def evaluate_all(gens: List[GeneratorDescriptor],
     return out
 
 
-def pencil_coefficients(pencil, w: StructuredRepresentation, kind: str) -> Dict[int, Fraction]:
+def pencil_coefficients(pencil: Pencil, w: StructuredRepresentation, kind: str) -> Dict[int, Fraction]:
     """Exact coefficients of the parameter polynomial det or pf of the pencil
     evaluated at a representation, by interpolation at integer nodes.
 
@@ -228,31 +228,28 @@ def pencil_coefficients(pencil, w: StructuredRepresentation, kind: str) -> Dict[
 
 
 class _SeededPoints(Sequence):
-    """Seeded structured representations at one dimension vector, each
-    drawn on first use and then kept: an enumeration draws every decision
-    point once and shares it across all its candidates."""
+    """The decision points of one enumeration: the structured
+    representations of one dimension vector at seeds 5000..5007, each drawn
+    on first use and then kept, so that every decision of the enumeration
+    reads the same points.
 
-    def __init__(self, sq: SymmetricQuiver, flavor: str, beta, seeds):
+    The pencil and the duplicate test read points 0-1, the nonzero test
+    points 0-2, and the skew searches up to all eight.
+    """
+
+    SEEDS = range(5000, 5008)
+
+    def __init__(self, sq: SymmetricQuiver, flavor: str, beta):
         self._draw = lambda seed: random_structured(sq, flavor, beta, seed=seed)
-        self._seeds = list(seeds)
-        self._points: List[Optional[StructuredRepresentation]] = [None] * len(self._seeds)
+        self._points: List[Optional[StructuredRepresentation]] = [None] * len(self.SEEDS)
 
     def __len__(self) -> int:
-        return len(self._seeds)
+        return len(self.SEEDS)
 
     def __getitem__(self, k: int) -> StructuredRepresentation:
         if self._points[k] is None:
-            self._points[k] = self._draw(self._seeds[k])
+            self._points[k] = self._draw(self.SEEDS[k])
         return self._points[k]
-
-
-def _skew_witnesses(sq: SymmetricQuiver, flavor: str, beta, seed: int = 0,
-                    count: int = 8) -> _SeededPoints:
-    """The points of the skew search: two at seed + 101 k, tried first, and
-    count - 2 more at seed + 7777 + 101 k."""
-    return _SeededPoints(sq, flavor, beta,
-                         [seed + 101 * k for k in range(2)]
-                         + [seed + 7777 + 101 * k for k in range(count - 2)])
 
 
 def _is_skew(rows: List[List[int]], signs: List[int]) -> bool:
@@ -326,20 +323,24 @@ def skew_normalize_template(t: PathMatrix, witnesses) -> Optional[PathMatrix]:
                        for i, s in zip(perm, signs)])
 
 
-def is_pfaffian_type(t: PathMatrix, sq: SymmetricQuiver, flavor: str, beta,
-                     seed: int = 0) -> bool:
+def is_pfaffian_type(t: PathMatrix, sq: SymmetricQuiver, flavor: str, beta) -> bool:
     """Whether the template carries a pfaffian on the flavor's space."""
-    return skew_normalize_template(t, _skew_witnesses(sq, flavor, beta, seed)) is not None
+    return skew_normalize_template(t, _SeededPoints(sq, flavor, beta)) is not None
 
 
-def _nonzero_at(descriptor: GeneratorDescriptor, points) -> bool:
-    for w in points:
-        try:
-            if descriptor.evaluate(w) != 0:
-                return True
-        except (NotSquare, NotSkewSymmetric):
-            return False
-    return False
+def _dedup_values(desc: GeneratorDescriptor,
+                  points: _SeededPoints) -> Optional[Tuple[Fraction, ...]]:
+    """The candidate's values at points 0-1, which the duplicate test
+    compares, when it is nonzero at one of points 0-2; None when it
+    vanishes at all three or does not evaluate to a square (skew) matrix.
+    The candidate is evaluated at most once per point."""
+    try:
+        values = (desc.evaluate(points[0]), desc.evaluate(points[1]))
+        if any(values) or desc.evaluate(points[2]) != 0:
+            return values
+    except (NotSquare, NotSkewSymmetric):
+        pass
+    return None
 
 
 # -- finite type -------------------------------------------------------------------
@@ -378,7 +379,6 @@ def chain_interval_module(sq: SymmetricQuiver, j: int, i: int) -> Representation
 def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
                       flavor: str) -> List[GeneratorDescriptor]:
     """Generator list for an equioriented symmetric chain."""
-    from .symmetric import classify_symmetric
     st = classify_symmetric(sq)
     if st.tag != "FiniteA":
         raise NotFiniteType("generators_finite needs a finite symmetric type")
@@ -391,7 +391,7 @@ def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
         raise OddSymplecticDimension("middle dimension must be even")
     out: List[GeneratorDescriptor] = []
     wants_pf = (flavor == ORTHOGONAL) if n % 2 == 0 else (flavor == SYMPLECTIC)
-    witnesses = _skew_witnesses(sq, flavor, beta)
+    witnesses = _SeededPoints(sq, flavor, beta)
     top = m - 1 if n % 2 == 0 else m
     for j in range(1, top + 1):
         for i in range(j, top + 1):
@@ -436,27 +436,15 @@ PENCIL_KIND = {
 }
 
 
-@dataclass
-class _SkewPencil:
-    base: object
-    signs: Tuple[int, ...]
-
-    def combine(self, phi, psi):
-        t = self.base.combine(phi, psi)
-        for r, s in enumerate(self.signs):
-            if s == -1:
-                t.scale_row(r, Fraction(-1))
-        return t
-
-
-def _skew_normalize_pencil(pen, witnesses) -> Optional[_SkewPencil]:
-    """The first row sign vector making the pencil skew at t = 2 and 3 on
-    the first two witnesses; each of the four matrices is evaluated once."""
+def _skew_normalize_pencil(pen: Pencil, witnesses) -> Optional[Pencil]:
+    """The pencil with the first row sign vector making it skew at t = 2 and
+    3 on the first two witnesses; each of the four matrices is evaluated
+    once."""
     found = _skew_search([witnesses[0].dim[v] for v in pen.rows], [range(len(pen.rows))],
                          [lambda k=k, t=t: evaluate_template(pen.combine(Fraction(t), Fraction(1)),
                                                              witnesses[k].full())
                           for k in (0, 1) for t in (2, 3)])
-    return None if found is None else _SkewPencil(pen, found[1])
+    return None if found is None else replace(pen, signs=found[1])
 
 
 def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
@@ -464,9 +452,6 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
     """Generator list for a canonical tame symmetric quiver and a regular
     symmetric dimension vector: the coefficient pencil plus one determinant
     or pfaffian per admissible arc."""
-    from .symmetric import classify_symmetric
-    from .tame import (admissible_arcs, canonical_decomposition, pencil_templates,
-                       pf_singleton_template, realize_interval, tau_orbits)
     st = classify_symmetric(sq)
     if st.tag == "FiniteA":
         raise NotTame("generators_tame needs a tame symmetric type")
@@ -474,7 +459,6 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
         for x in sq.v_fixed:
             if d[x] % 2:
                 return []
-    orbits = tau_orbits(sq)
     dec = canonical_decomposition(sq, d)
 
     def size(vertices) -> int:
@@ -482,54 +466,43 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
         template evaluated at a point of dimension d."""
         return sum(d[v] for v in vertices)
 
-    out: List[GeneratorDescriptor] = []
+    # every seeded decision reads these points; each kept candidate goes
+    # into ``out`` with its values at points 0-1, which decide duplicates
+    points = _SeededPoints(sq, flavor, d)
+    out: List[Tuple[GeneratorDescriptor, Tuple[Fraction, ...]]] = []
+
+    def keep_if_nonzero(desc: GeneratorDescriptor) -> bool:
+        values = _dedup_values(desc, points)
+        if values is not None:
+            out.append((desc, values))
+        return values is not None
+
     # the coefficient family of the parameter pencil
     pen = pencil_templates(sq)
     kind = PENCIL_KIND[(st.tag, flavor)]
-    # every seeded decision point is drawn once, and shared by all candidates
-    checks = _SeededPoints(sq, flavor, d, [1000 + s for s in (0, 1, 2)])
-    witnesses = _skew_witnesses(sq, flavor, d)
     use_pencil = size(pen.rows) == size(pen.cols)
     if use_pencil and kind == "pf":
-        normalized = _skew_normalize_pencil(pen, witnesses)
+        normalized = _skew_normalize_pencil(pen, points)
         if normalized is None or size(pen.rows) % 2:
             use_pencil = False
         else:
             pen = normalized
-    # the two points of pencil index discovery also decide the duplicates,
-    # and the pencil coefficients found there are the pencil generators'
-    # values at them: the pencil is solved twice per enumeration
-    points = _SeededPoints(sq, flavor, d, (5000, 5001))
-    coefficients: List[Dict[int, Fraction]] = []
     if use_pencil:
-        coefficients = [pencil_coefficients(pen, w, kind) for w in points]
-        indices = set().union(*coefficients)
-        base = pen.base if isinstance(pen, _SkewPencil) else pen
-        wt = Weight({x: Fraction(0) for x in sq.base.vertices})
-        for v in base.cols:
-            wt.values[v] = wt[v] + 1
-        for v in base.rows:
-            wt.values[v] = wt[v] - 1
-        for x in sq.v_fixed:
-            wt.values[x] = Fraction(0)
-        if kind == "pf":
-            wt = wt.halve()
-        for i in sorted(indices):
-            out.append(GeneratorDescriptor(
-                "pencil-" + kind, wt, "pencil[%d]" % i, pencil=pen, index=i))
+        # the coefficients at points 0-1 give the indices and the pencil
+        # generators' values there: the pencil is solved twice per enumeration
+        coefficients = [pencil_coefficients(pen, points[k], kind) for k in (0, 1)]
+        wt = template_weight(sq, pen, half=kind == "pf")
+        for i in sorted(set().union(*coefficients)):
+            out.append((GeneratorDescriptor("pencil-" + kind, wt, "pencil[%d]" % i,
+                                            pencil=pen, index=i),
+                        tuple(c.get(i, Fraction(0)) for c in coefficients)))
     # the extra skew singleton of the free central symmetry family
     if st.tag == "A00":
-        try:
-            t = pf_singleton_template(sq)
-            normalized = skew_normalize_template(t, witnesses)
-            if normalized is not None:
-                desc = GeneratorDescriptor(
-                    "pf", template_weight(sq, normalized, half=True),
-                    "skew-singleton", template=normalized)
-                if _nonzero_at(desc, checks):
-                    out.append(desc)
-        except NotSquare:
-            pass
+        normalized = skew_normalize_template(pf_singleton_template(sq), points)
+        if normalized is not None:
+            keep_if_nonzero(GeneratorDescriptor(
+                "pf", template_weight(sq, normalized, half=True), "skew-singleton",
+                template=normalized))
     # arc generators
     for lp in dec.labelled:
         poly = lp.polygon
@@ -542,25 +515,16 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
                 gen_length = poly.rank
             else:
                 gen_length = arc.length - 1
-            module = realize_interval(sq, orbits, poly.name, arc.start, gen_length)
-            t = minimal_presentation(module)
-            desc = None
-            normalized = skew_normalize_template(t, witnesses)
-            if normalized is not None:
-                cand = GeneratorDescriptor(
-                    "pf", template_weight(sq, normalized, half=True),
-                    "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length),
-                    template=normalized)
-                if _nonzero_at(cand, checks):
-                    desc = cand
-            if desc is None:
-                cand = GeneratorDescriptor(
-                    "det", template_weight(sq, t),
-                    "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length), template=t)
-                if _nonzero_at(cand, checks) and size(t.rows) == size(t.cols):
-                    desc = cand
-            if desc is not None:
-                out.append(desc)
+            t = minimal_presentation(realize_interval(sq, poly.name, arc.start, gen_length))
+            provenance = "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length)
+            normalized = skew_normalize_template(t, points)
+            if normalized is not None and keep_if_nonzero(GeneratorDescriptor(
+                    "pf", template_weight(sq, normalized, half=True), provenance,
+                    template=normalized)):
+                continue
+            if size(t.rows) == size(t.cols):
+                keep_if_nonzero(GeneratorDescriptor(
+                    "det", template_weight(sq, t), provenance, template=t))
     # each sigma-fixed arrow contributes its own determinant or pfaffian;
     # these coincide with arc modules or pencil extremes in the smallest
     # cases, and the deduplication below drops the overlap
@@ -569,21 +533,14 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
         if flavor == ORTHOGONAL:
             if d[arrow.tail] % 2:
                 continue
-            desc = _single_arrow_descriptor(sq, fname, "pf", label="arrow")
+            keep_if_nonzero(_single_arrow_descriptor(sq, fname, "pf", label="arrow"))
         else:
-            desc = _single_arrow_descriptor(sq, fname, "det", label="arrow")
-        if _nonzero_at(desc, checks):
-            out.append(desc)
-    # drop duplicates: same weight and same values at both points
-    def values(g: GeneratorDescriptor) -> Tuple[Fraction, ...]:
-        if g.kind.startswith("pencil-"):
-            return tuple(c.get(g.index, Fraction(0)) for c in coefficients)
-        return tuple(g.evaluate(w) for w in points)
-
+            keep_if_nonzero(_single_arrow_descriptor(sq, fname, "det", label="arrow"))
+    # drop duplicates: same weight and same values at points 0-1
     seen = set()
     deduped = []
-    for g in out:
-        key = (g.kind.replace("pencil-", ""), g.weight.as_sorted_items(), values(g))
+    for g, values in out:
+        key = (g.kind.replace("pencil-", ""), g.weight.as_sorted_items(), values)
         if key in seen:
             continue
         seen.add(key)

@@ -294,17 +294,13 @@ def reflect_pair_quiver(sq: SymmetricQuiver, x: int) -> SymmetricQuiver:
     return sq.with_base(q2)
 
 
-def _sources_sinks(q: Quiver) -> Tuple[List[int], List[int]]:
-    return q.sources(), q.sinks()
-
-
 def is_canonical_orientation(sq: SymmetricQuiver) -> bool:
     """Normal-form test per family: equioriented A, single flow for A-tilde
     families (two flows for the reversed double-arrow family), equioriented
     spine with source leaves for D-tilde."""
     st = classify_symmetric(sq)
     q = sq.base
-    sources, sinks = _sources_sinks(q)
+    sources, sinks = q.sources(), q.sinks()
     if st.tag == "FiniteA":
         return len(sources) == 1 and len(sinks) == 1
     if st.tag in ("A201", "A02", "A11", "A00"):

@@ -303,11 +303,11 @@ def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector,
                 if lp.labels[i] != other.labels[j]:
                     raise NotSymmetric("paired orbit labels disagree")
     if flavor == SYMPLECTIC:
-        _check_symplectic_parity(sq, d, labelled)
+        _check_symplectic_parity(sq, d)
     return CanonicalDecomposition(p, labelled)
 
 
-def _check_symplectic_parity(sq, d, labelled) -> None:
+def _check_symplectic_parity(sq, d) -> None:
     for x in sq.v_fixed:
         if d[x] % 2:
             raise ParityViolation("symplectic dimension at %r must be even" % x)
@@ -522,10 +522,14 @@ class Pencil:
     phi_entries: List[List[dict]]
     psi_entries: List[List[dict]]
     const_entries: List[List[dict]]
+    signs: Tuple[int, ...] = ()    # one sign (1 or -1) per row, or none
 
     def combine(self, phi: Fraction, psi: Fraction) -> PathMatrix:
+        """The template phi * phi_entries + psi * psi_entries + const_entries,
+        with row r multiplied by signs[r] when the pencil has signs."""
         entries = []
         for r in range(len(self.rows)):
+            flip = bool(self.signs) and self.signs[r] == -1
             row = []
             for c in range(len(self.cols)):
                 combo: dict = {}
@@ -534,7 +538,7 @@ class Pencil:
                                    (self.const_entries[r][c], 1)):
                     for p, v in src.items():
                         combo[p] = combo.get(p, 0) + coeff * v
-                row.append({p: v for p, v in combo.items() if v})
+                row.append({p: -v if flip else v for p, v in combo.items() if v})
             entries.append(row)
         return PathMatrix(self.quiver, list(self.rows), list(self.cols), entries)
 
@@ -652,11 +656,6 @@ def pf_singleton_template(sq: SymmetricQuiver) -> PathMatrix:
 
 # -- string and tree modules ------------------------------------------------------
 
-def _cover_data(sq: SymmetricQuiver):
-    order = _cycle_order(sq.base)
-    return order
-
-
 def _window_matches(sq, order, pos, length, target: DimensionVector) -> bool:
     m = len(order)
     counts: Dict[int, int] = {v: 0 for v in sq.base.vertices}
@@ -668,7 +667,7 @@ def _window_matches(sq, order, pos, length, target: DimensionVector) -> bool:
 def _find_tiling(sq, poly: Polygon):
     """Offsets realizing the polygon's orbit as consecutive windows on the
     universal cover of the cycle."""
-    order = _cover_data(sq)
+    order = _cycle_order(sq.base)
     m = len(order)
     r = poly.rank
     lens = [sum(e.values.values()) for e in poly.dims]
@@ -752,11 +751,11 @@ def _dtilde_wrap_template(sq, poly: Polygon) -> PathMatrix:
     return PathMatrix(full.quiver, full.rows, full.cols, entries)
 
 
-def realize_interval(sq: SymmetricQuiver, orbits: TauOrbits, poly_name: str,
-                     start: int, length: int) -> Representation:
+def realize_interval(sq: SymmetricQuiver, poly_name: str, start: int,
+                     length: int) -> Representation:
     """The regular module whose dimension is a consecutive orbit sum."""
     st = classify_symmetric(sq)
-    poly = orbits.by_name(poly_name)
+    poly = tau_orbits(sq).by_name(poly_name)
     r = poly.rank
     if st.tag.startswith("A"):
         order, s, rho, eps = _find_tiling(sq, poly)
@@ -766,16 +765,9 @@ def realize_interval(sq: SymmetricQuiver, orbits: TauOrbits, poly_name: str,
             idx = (rho + eps * t) % r
             prefix.append(prefix[-1] + lens[idx])
         windows = [(start + k) % r for k in range(length)]
-        if eps == 1:
-            t0 = (windows[0] - rho) % r
-            a = s + prefix[t0]
-            total = sum(lens[w] for w in windows)
-            b = a + total - 1
-        else:
-            t0 = (rho - windows[-1]) % r
-            a = s + prefix[t0]
-            total = sum(lens[w] for w in windows)
-            b = a + total - 1
+        t0 = (windows[0] - rho) % r if eps == 1 else (rho - windows[-1]) % r
+        a = s + prefix[t0]
+        b = a + sum(lens[w] for w in windows) - 1
         mod = _string_module(sq, order, a, b)
         expected = poly.interval_sum(start, length)
         assert mod.dim == expected, "string tiling mismatch"
@@ -803,7 +795,7 @@ def realize_interval(sq: SymmetricQuiver, orbits: TauOrbits, poly_name: str,
     raise IndexOutOfOrbit("no tree realization of the requested interval")
 
 
-def realize_summand(sq: SymmetricQuiver, orbits: TauOrbits, summand: Summand,
+def realize_summand(sq: SymmetricQuiver, summand: Summand,
                     parameter_offset: int = 0) -> Representation:
     """A module of the summand's dimension, per the recipe attached to it."""
     kind = summand.recipe[0]
@@ -817,13 +809,13 @@ def realize_summand(sq: SymmetricQuiver, orbits: TauOrbits, summand: Summand,
         return mod
     _, poly_name, start, length = summand.recipe
     if kind == "symarc":
-        return realize_interval(sq, orbits, poly_name, start, length)
+        return realize_interval(sq, poly_name, start, length)
     if kind in ("pair", "cross"):
-        half = realize_interval(sq, orbits, poly_name, start, length)
+        half = realize_interval(sq, poly_name, start, length)
         return half.direct_sum(dual_rep(sq, half))
     if kind == "hmerge":
-        poly = orbits.by_name(poly_name)
-        return realize_interval(sq, orbits, poly_name, start, length + poly.rank)
+        poly = tau_orbits(sq).by_name(poly_name)
+        return realize_interval(sq, poly_name, start, length + poly.rank)
     raise IndexOutOfOrbit("unknown summand recipe %r" % (summand.recipe,))
 
 
@@ -834,7 +826,6 @@ def tame_regular_module(sq: SymmetricQuiver, which: Tuple) -> Representation:
     socle index i and closed orbit interval [i, j] on the respective polygon,
     or ('Vhom', phi, psi) for the homogeneous module of null-root dimension.
     """
-    orbits = tau_orbits(sq)
     tag = which[0]
     if tag == "Vhom":
         _, phi, psi = which
@@ -845,10 +836,10 @@ def tame_regular_module(sq: SymmetricQuiver, which: Tuple) -> Representation:
     poly_name = {"E": "delta", "E1": "delta1", "E2": "delta2"}.get(tag)
     if poly_name is None:
         raise IndexOutOfOrbit("unknown module family %r" % (tag,))
-    poly = orbits.by_name(poly_name)
+    poly = tau_orbits(sq).by_name(poly_name)
     _, i, j = which
     r = poly.rank
     if not (0 <= i < r and 0 <= j < r):
         raise IndexOutOfOrbit("orbit indices must lie in [0, %d)" % r)
     length = (j - i) % r + 1
-    return realize_interval(sq, orbits, poly_name, i, length)
+    return realize_interval(sq, poly_name, i, length)

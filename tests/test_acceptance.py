@@ -337,7 +337,7 @@ def test_criterion_09_ext_vanishing_of_generic_decompositions():
             d = _random_regular(rng, sq, orbits, p=2)
             for mode in (SYMPLECTIC, ORTHOGONAL):
                 summands = generic_summands(sq, d, mode)
-                mods = [realize_summand(sq, orbits, s) for s in summands]
+                mods = [realize_summand(sq, s) for s in summands]
                 for m, s in zip(mods, summands):
                     assert m.dim == s.dim
                 for i in range(len(mods)):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,39 @@ def test_generators_tame_solves_pencil_twice(monkeypatch):
         assert len(solves) == 2
         assert nodes == [n] * (2 * (degree + 1))
         monkeypatch.undo()
+
+
+def test_pencil_signs_are_applied_and_checked(tmp_path, capsys):
+    """A pencil record's signs give one sign, 1 or -1, per row; anything
+    else is a parse error."""
+    qfile = str(FIX / "a201_00.qv")
+    sq = sqio.parse_quiver((FIX / "a201_00.qv").read_text())
+    code, out = run_cli("generators", "-q", qfile, "--dim", "2,2", "--flavor", "o",
+                        "--json-lines")
+    assert code == 0
+    rec = json.loads(out.splitlines()[0])
+    assert rec["pencil"]["signs"] == [1]
+    rep = tmp_path / "w.rep"
+    rep.write_text(sqio.serialize_representation(
+        random_structured(sq, "o", DimensionVector({1: 2, 2: 2}), seed=5)))
+    gens = tmp_path / "g.jsonl"
+
+    def evaluate(signs):
+        rec["pencil"]["signs"] = signs
+        gens.write_text(json.dumps(rec) + "\n")
+        code, out = run_cli("evaluate", "-q", qfile, "--rep", str(rep),
+                            "--gen-file", str(gens))
+        return code, out.split()
+    code, plus = evaluate([1])
+    assert code == 0 and plus[1] != "0"
+    code, minus = evaluate([-1])
+    assert code == 0 and Fraction(minus[1]) == -Fraction(plus[1])
+    capsys.readouterr()
+    for signs in ([1, 1], [5], ["a"], [], [True], "1", 1):
+        code, out = evaluate(signs)
+        assert code == 2 and out == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("template", [{"rows": [], "cols": [1], "entries": []},

@@ -67,6 +67,24 @@ def test_generators_classifies_each_symmetric_quiver_once(tmp_path, monkeypatch)
         assert len(shapes) == len(classified)
 
 
+def test_generators_computes_graph_type_once_per_quiver(tmp_path, monkeypatch):
+    sq = families.a202(2, 2)
+    path = tmp_path / "a202.quiver"
+    path.write_text(sqio.serialize_quiver(sq))
+    dim = ",".join(str(x) for x in null_root(sq.base).scale(2).as_tuple(sq.base.vertices))
+    # every graph type computation starts with one connectivity test
+    shapes = []
+    real_connected = quiver._connected
+    monkeypatch.setattr(quiver, "_connected", lambda q: shapes.append(q) or real_connected(q))
+    for flavor in ("sp", "o"):
+        shapes.clear()
+        argv = ["generators", "-q", str(path), "--dim", dim, "--flavor", flavor,
+                "--check-invariance", "1"]
+        assert cli.main(argv) == 0
+        assert shapes, "the command needs the graph type"
+        assert len({id(q) for q in shapes}) == len(shapes)
+
+
 def test_unsupported_symmetric_type_is_not_kept():
     # a triple arrow: a wild underlying graph
     q = Quiver([1, 2], [("a", 1, 2), ("b", 1, 2), ("c", 1, 2)])

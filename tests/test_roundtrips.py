@@ -150,7 +150,7 @@ def test_larger_family_instances():
                     d = d + sq.delta(poly.dims[i]).scale(lab)
         for mode in (SYMPLECTIC, ORTHOGONAL):
             summands = generic_summands(sq, d, mode)
-            mods = [realize_summand(sq, orbits, s) for s in summands]
+            mods = [realize_summand(sq, s) for s in summands]
             for m, s in zip(mods, summands):
                 assert m.dim == s.dim
             for i in range(len(mods)):

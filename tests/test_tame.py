@@ -347,7 +347,7 @@ def test_realized_summands_pairwise_rigid():
             d = random_regular_symmetric(rng, sq, orbits)
             for mode in (SYMPLECTIC, ORTHOGONAL):
                 ss = generic_summands(sq, d, mode)
-                mods = [realize_summand(sq, orbits, s) for s in ss]
+                mods = [realize_summand(sq, s) for s in ss]
                 for m, s in zip(mods, ss):
                     assert m.dim == s.dim
                 for i in range(len(mods)):

@@ -7,6 +7,7 @@ path products moved to ints: every term of every block is a chain of
 built as a template and evaluated afresh.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -14,13 +15,13 @@ from itertools import permutations, product
 import pytest
 
 from symquiv import families, representation, semiinvariant
+from symquiv.io import descriptor_to_json
 from symquiv.linalg import RationalMatrix
 from symquiv.presentation import PathMatrix, evaluate_template, minimal_presentation
 from symquiv.quiver import DimensionVector, null_root
 from symquiv.representation import Representation, random_structured
-from symquiv.semiinvariant import (_is_skew, _skew_normalize_pencil, _skew_witnesses,
-                                   _SkewPencil, evaluate_all, generators_tame,
-                                   skew_normalize_template)
+from symquiv.semiinvariant import (_is_skew, _SeededPoints, _skew_normalize_pencil,
+                                   evaluate_all, generators_tame, skew_normalize_template)
 from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC
 from symquiv.tame import (Pencil, admissible_arcs, canonical_decomposition, pencil_templates,
                           pf_singleton_template, realize_interval, tau_orbits)
@@ -80,7 +81,7 @@ def oracle_skew_template(t, witnesses):
 
 def oracle_skew_pencil(pen, witnesses):
     for signs in product((1, -1), repeat=len(pen.rows)):
-        cand = _SkewPencil(pen, signs)
+        cand = dataclasses.replace(pen, signs=signs)
         if all(oracle_evaluate(cand.combine(Fraction(t), Fraction(1)),
                                witnesses[k].full()).is_skew_symmetric()
                for k in (0, 1) for t in (2, 3)):
@@ -135,7 +136,6 @@ def regular_dim(sq, rng) -> DimensionVector:
 
 def arc_templates(sq, d):
     """The presentation template of every arc module generators_tame visits."""
-    orbits = tau_orbits(sq)
     out = []
     for lp in canonical_decomposition(sq, d).labelled:
         poly = lp.polygon
@@ -144,7 +144,7 @@ def arc_templates(sq, d):
         for arc in admissible_arcs(lp):
             length = poly.rank if arc.wrap or arc.length == 1 else arc.length - 1
             out.append(minimal_presentation(
-                realize_interval(sq, orbits, poly.name, arc.start, length)))
+                realize_interval(sq, poly.name, arc.start, length)))
     return out
 
 
@@ -246,7 +246,7 @@ def test_skew_search_matches_exhaustive_oracle():
     found = tried = 0
     moved = set()
     for sq, d, flavor in family_cases():
-        witnesses = _skew_witnesses(sq, flavor, d)
+        witnesses = _SeededPoints(sq, flavor, d)
         for t in arc_templates(sq, d):
             for cand in (t, scrambled(t)):
                 expect = oracle_skew_template(cand, witnesses)
@@ -278,7 +278,7 @@ def test_skew_search_takes_the_first_candidate():
     sq = families.symmetric_a(4)
     beta = DimensionVector({v: 2 for v in sq.base.vertices})
     t = PathMatrix(sq.base, [1, 2], [3, 4], [[{}, {}], [{}, {}]])
-    got = skew_normalize_template(t, _skew_witnesses(sq, ORTHOGONAL, beta))
+    got = skew_normalize_template(t, _SeededPoints(sq, ORTHOGONAL, beta))
     assert (got.rows, got.entries) == ([1, 2], t.entries)
 
 
@@ -298,7 +298,7 @@ def test_skew_search_evaluates_once_per_witness(monkeypatch):
                         lambda t, w: calls.append(id(w)) or evaluate(t, w))
     most = 0
     for sq, d, flavor in family_cases():
-        witnesses = _skew_witnesses(sq, flavor, d)
+        witnesses = _SeededPoints(sq, flavor, d)
         for t in arc_templates(sq, d):
             del calls[:]
             skew_normalize_template(t, witnesses)
@@ -324,16 +324,71 @@ def test_evaluate_all_builds_full_once_per_point(monkeypatch):
     assert mixed
 
 
+def finite_cases():
+    for sq in FAMILIES[:2]:
+        for k in (1, 2):
+            beta = DimensionVector({v: 2 * k for v in sq.base.vertices})
+            for flavor in (SYMPLECTIC, ORTHOGONAL):
+                yield sq, beta, flavor
+
+
 def test_generators_tame_draws_each_point_once(monkeypatch):
+    """The tame and the finite enumeration draw their points from the one
+    seeded sequence only, each seed at most once."""
     seeds = []
     draw = semiinvariant.random_structured
     monkeypatch.setattr(semiinvariant, "random_structured",
                         lambda sq, flavor, d, seed: seeds.append(seed) or
                         draw(sq, flavor, d, seed=seed))
-    for sq, d, flavor in family_cases():
+
+    def draws(enumerate_, sq, d, flavor):
         del seeds[:]
+        enumerate_(sq, d, flavor)
+        assert len(seeds) == len(set(seeds)) <= 8
+        assert set(seeds) <= set(range(5000, 5008))
+        return set(seeds)
+    drawn = set()
+    for case in family_cases():
+        tame = draws(generators_tame, *case)
+        assert tame
+        drawn |= tame
+    for case in finite_cases():
+        drawn |= draws(semiinvariant.generators_finite, *case)
+    assert drawn == set(range(5000, 5008))    # some skew search reads all eight
+
+
+def test_generators_tame_evaluates_each_candidate_once_per_point(monkeypatch):
+    calls = []
+    evaluate = semiinvariant.GeneratorDescriptor.evaluate
+    monkeypatch.setattr(semiinvariant.GeneratorDescriptor, "evaluate",
+                        lambda g, w: calls.append((g, w)) or evaluate(g, w))
+    most = 0
+    for sq, d, flavor in family_cases():
+        del calls[:]
         generators_tame(sq, d, flavor)
-        assert seeds and len(seeds) == len(set(seeds))
+        assert calls
+        pairs = {(id(g), id(w)) for g, w in calls}    # calls keeps every object alive
+        assert len(pairs) == len(calls)
+        points = len({id(w) for _, w in calls})
+        assert points <= 3
+        most = max(most, points)
+    assert most == 3                          # some candidate vanished at points 0-1
+
+
+def test_enumerations_do_not_depend_on_their_order():
+    """Enumerating the same quiver objects in two orders, in one process,
+    gives the same records."""
+    cases = list(family_cases()) + list(finite_cases())
+
+    def lines(case):
+        sq, d, flavor = case
+        enumerate_ = semiinvariant.generators_finite if sq in FAMILIES[:2] else generators_tame
+        return [descriptor_to_json(g) for g in enumerate_(sq, d, flavor)]
+
+    forward = [lines(case) for case in cases]
+    backward = [lines(case) for case in reversed(cases)]
+    assert forward == backward[::-1]
+    assert sum(map(len, forward)) > len(cases)
 
 
 @pytest.mark.parametrize("flavor", [SYMPLECTIC, ORTHOGONAL])
@@ -345,6 +400,6 @@ def test_skew_witnesses_are_drawn_lazily(flavor, monkeypatch):
     monkeypatch.setattr(semiinvariant, "random_structured",
                         lambda sq, flavor, d, seed: seeds.append(seed) or
                         draw(sq, flavor, d, seed=seed))
-    witnesses = _skew_witnesses(sq, flavor, beta)
+    witnesses = _SeededPoints(sq, flavor, beta)
     assert seeds == []
-    assert witnesses[1] is witnesses[1] and seeds == [101]
+    assert witnesses[1] is witnesses[1] and seeds == [5001]
