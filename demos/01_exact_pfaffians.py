@@ -29,12 +29,13 @@ print("  pf =", pfaffian(a), " (1*6 - 2*5 + 3*4),  det =", determinant(a),
 
 print("\nCongruence acts through the determinant, exactly:")
 for n in (2, 3):
-    skew = RationalMatrix.zero(2 * n, 2 * n)
+    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):
             x = Fraction(rng.randint(-9, 9))
-            skew[i, j] = x
-            skew[j, i] = -x
+            rows[i][j] = x
+            rows[j][i] = -x
+    skew = RationalMatrix.from_rows(rows)
     b = RationalMatrix(2 * n, 2 * n, [rng.randint(-3, 3) for _ in range(4 * n * n)])
     lhs = pfaffian(b * skew * b.transpose())
     rhs = determinant(b) * pfaffian(skew)

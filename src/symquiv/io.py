@@ -263,7 +263,7 @@ def _descriptor_from_record(rec, sq: SymmetricQuiver) -> GeneratorDescriptor:
         if template is None:
             raise ParseError("a %s record needs a template" % kind)
     elif kind in ("pencil-det", "pencil-pf"):
-        if pencil is None or not isinstance(index, int):
+        if pencil is None or type(index) is not int:
             raise ParseError("a %s record needs a pencil and an integer index" % kind)
     else:
         raise ParseError("unknown generator kind %r" % (kind,))

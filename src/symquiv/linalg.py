@@ -2,10 +2,11 @@
 
 A matrix is a flat row-major list of int numerators ``num`` over one
 positive denominator ``den``, kept reduced (``gcd(den, *num) == 1``), so
-equal matrices have equal fields.  No floating point is used anywhere in
-the package.  The kernels run on the int rows directly: one fraction-free
-Gauss-Jordan routine serves rref, rank, kernel, cokernel, solve, inverse
-and determinant, and the Pfaffian has its own skew elimination.
+equal matrices have equal fields; a matrix is never changed after it is
+built.  No floating point is used anywhere in the package.  The kernels
+run on the int rows directly: one fraction-free Gauss-Jordan routine
+serves rref, rank, kernel, cokernel, solve, inverse and determinant, and
+the Pfaffian has its own skew elimination.
 ``Fraction`` values appear only at the edges: entry access, ``data``,
 ``apply`` and the kernel and solution vectors.
 """
@@ -39,7 +40,13 @@ def _reduce(num: List[int], den: int):
 
 class RationalMatrix:
     """Dense matrix with exact rational entries: int numerators ``num``,
-    row-major, over one reduced positive denominator ``den``."""
+    row-major, over one reduced positive denominator ``den``.
+
+    A value: no method changes a matrix after construction, and ``rows``,
+    ``cols``, ``num`` and ``den`` are read-only (not guarded by a
+    ``__setattr__``, which would slow every construction).  Build the
+    entries first, then the matrix, once.
+    """
 
     __slots__ = ("rows", "cols", "num", "den")
 
@@ -103,25 +110,12 @@ class RationalMatrix:
         return cls._from_ints(sum(row_heights), sum(col_widths), num, den)
 
     # -- basics ------------------------------------------------------------
-    def _offset(self, key) -> int:
+    def __getitem__(self, key) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("index (%r, %r) outside a %dx%d matrix"
                              % (i, j, self.rows, self.cols))
-        return i * self.cols + j
-
-    def __getitem__(self, key) -> Fraction:
-        return Fraction(self.num[self._offset(key)], self.den)
-
-    def __setitem__(self, key, value):
-        k = self._offset(key)
-        d = _exact(value).denominator
-        if self.den % d:
-            s = lcm(self.den, d) // self.den
-            self.num = [x * s for x in self.num]
-            self.den *= s
-        self.num[k] = value.numerator * (self.den // d)
-        self.num, self.den = _reduce(self.num, self.den)
+        return Fraction(self.num[i * self.cols + j], self.den)
 
     @property
     def data(self) -> List[Fraction]:

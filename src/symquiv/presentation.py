@@ -142,11 +142,11 @@ class _ProjSum:
         a = self.q.arrow_by_name[name]
         src = self.basis[a.tail]
         dst = self.basis[a.head]
-        m = RationalMatrix.zero(len(dst), len(src))
         lookup = {item: i for i, item in enumerate(dst)}
+        num = [0] * (len(dst) * len(src))
         for j, (c, p) in enumerate(src):
-            m[lookup[(c, p + (name,))], j] = 1
-        return m
+            num[lookup[(c, p + (name,))] * len(src) + j] = 1
+        return RationalMatrix._from_ints(len(dst), len(src), num)
 
 
 def module_from_presentation(t: PathMatrix) -> Representation:
@@ -158,14 +158,13 @@ def module_from_presentation(t: PathMatrix) -> Representation:
     # sum over columns of entry-path * tail_path inside P0
     phi: Dict[int, RationalMatrix] = {}
     for z in q.vertices:
-        m = RationalMatrix.zero(p0.dim(z), p1.dim(z))
+        width = p1.dim(z)
+        entries = [0] * (p0.dim(z) * width)
         for jcol, (r, tpath) in enumerate(p1.basis[z]):
             for c in range(len(t.cols)):
                 for spath, coeff in t.entries[r][c].items():
-                    full = spath + tpath
-                    i = p0.index(z, c, full)
-                    m[i, jcol] = m[i, jcol] + coeff
-        phi[z] = m
+                    entries[p0.index(z, c, spath + tpath) * width + jcol] += coeff
+        phi[z] = RationalMatrix(p0.dim(z), width, entries)
     proj = {}
     comp = {}
     for z in q.vertices:
@@ -174,17 +173,13 @@ def module_from_presentation(t: PathMatrix) -> Representation:
     mats = {}
     for a in q.arrows:
         p0a = p0.arrow_matrix(a.name)
-        section = RationalMatrix.zero(p0.dim(a.tail), proj[a.tail].rows)
+        width = proj[a.tail].rows
+        num = [0] * (p0.dim(a.tail) * width)
         for col, idx in enumerate(comp[a.tail]):
-            section[idx, col] = 1
+            num[idx * width + col] = 1
+        section = RationalMatrix._from_ints(p0.dim(a.tail), width, num)
         mats[a.name] = proj[a.head] * p0a * section
     return Representation(q, dim, mats)
-
-
-def _generator_complement(span_columns: RationalMatrix) -> List[int]:
-    """Indices of greedy standard vectors complementing a column space."""
-    _, comp = column_space_complement(span_columns)
-    return comp
 
 
 def minimal_presentation(m: Representation) -> PathMatrix:
@@ -202,7 +197,7 @@ def minimal_presentation(m: Representation) -> PathMatrix:
         arrows_in = sorted(q.arrows_into(x), key=lambda a: a.name)
         rad = (RationalMatrix.block([[m.matrices[a.name] for a in arrows_in]]) if arrows_in
                else RationalMatrix.zero(m.dim[x], 0))
-        for idx in _generator_complement(rad):
+        for idx in column_space_complement(rad)[1]:
             vec = [Fraction(0)] * m.dim[x]
             vec[idx] = Fraction(1)
             gens.append((x, vec))
@@ -238,7 +233,7 @@ def minimal_presentation(m: Representation) -> PathMatrix:
         arrows_in = sorted(q.arrows_into(y), key=lambda a: a.name)
         rad = (RationalMatrix.block([[karrow[a.name] for a in arrows_in]]) if arrows_in
                else RationalMatrix.zero(len(kb[y]), 0))
-        for idx in _generator_complement(rad):
+        for idx in column_space_complement(rad)[1]:
             rows.append(y)
             row_vectors.append((y, kb[y][idx]))
     cols = [x for x, _ in gens]

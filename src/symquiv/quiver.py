@@ -368,10 +368,10 @@ def euler_matrix(q: Quiver) -> RationalMatrix:
     verts = q.vertices
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    e = RationalMatrix.identity(n)
+    num = [int(i == j) for i in range(n) for j in range(n)]
     for a in q.arrows:
-        e[idx[a.tail], idx[a.head]] = e[idx[a.tail], idx[a.head]] - 1
-    return e
+        num[idx[a.tail] * n + idx[a.head]] -= 1
+    return RationalMatrix._from_ints(n, n, num)
 
 
 def euler_form(q: Quiver, alpha: DimensionVector, beta: DimensionVector) -> int:

@@ -4,7 +4,7 @@ Coxeter translation, and the duality functor."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import NotAdmissible, NonzeroOnFixedVertex, NotSinkOrSource
 from .linalg import RationalMatrix, column_space_complement, kernel_basis
@@ -46,11 +46,11 @@ def arrows_between(q: Quiver, x: int, y: int) -> int:
 def reflect_weight(sq: SymmetricQuiver, x: int, chi) -> Dict[int, Fraction]:
     """Weight transform under the admissible pair reflection at sink x.
 
-    Accepts a vertex dict or a Weight; the input must vanish on sigma-fixed
+    Accepts a vertex mapping or a Weight; the input must vanish on sigma-fixed
     vertices and the output does too.
     """
-    if hasattr(chi, "values") and not isinstance(chi, dict):
-        chi = dict(chi.values)
+    if not isinstance(chi, Mapping):
+        chi = chi.values
     if x not in admissible_sinks(sq):
         raise NotAdmissible("vertex %r is not an admissible sink" % x)
     for v in sq.v_fixed:

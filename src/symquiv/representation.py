@@ -35,9 +35,6 @@ class Representation:
                 raise ShapeMismatch(
                     "matrix for %s must be %dx%d" % (a.name, dim[a.head], dim[a.tail]))
 
-    def matrix(self, name: str) -> RationalMatrix:
-        return self.matrices[name]
-
     def direct_sum(self, other: "Representation") -> "Representation":
         if self.quiver is not other.quiver and \
                 self.quiver.orientation_key() != other.quiver.orientation_key():
@@ -133,11 +130,11 @@ def form_matrix(flavor: str, size: int) -> RationalMatrix:
         if size % 2:
             raise OddSymplecticDimension("symplectic form needs even size")
         half = size // 2
-        j = RationalMatrix.zero(size, size)
+        num = [0] * (size * size)
         for i in range(half):
-            j[i, half + i] = 1
-            j[half + i, i] = -1
-        return j
+            num[i * size + half + i] = 1
+            num[(half + i) * size + i] = -1
+        return RationalMatrix._from_ints(size, size, num)
     return RationalMatrix.identity(size)
 
 
@@ -146,9 +143,8 @@ class StructuredRepresentation(Frozen):
 
     Only matrices on the positive arrows and on the sigma-fixed arrows are
     stored; mirror arrows are derived, never stored.  Immutable: the matrix
-    maps are read-only views and the matrices are not to be changed in
-    place, so the induced representation (:meth:`full`) is built once per
-    object.
+    maps are read-only views of matrices, which never change, so the
+    induced representation (:meth:`full`) is built once per object.
     """
 
     __slots__ = ("sq", "flavor", "dim", "matrices", "fixed_matrices", "_memo")
@@ -245,20 +241,25 @@ def random_structured(sq: SymmetricQuiver, flavor: str, dim: DimensionVector,
         mats[name] = RationalMatrix(
             dim[a.head], dim[a.tail],
             [rng.randint(-9, 9) for _ in range(dim[a.head] * dim[a.tail])])
-    fixed = {}
-    for name in sq.a_fixed:
-        a = sq.base.arrow_by_name[name]
-        sz = dim[a.tail]
-        m = RationalMatrix.zero(sz, sz)
-        for i in range(sz):
-            if flavor == SYMPLECTIC:
-                m[i, i] = rng.randint(-9, 9)
-            for j in range(i + 1, sz):
-                x = rng.randint(-9, 9)
-                m[i, j] = x
-                m[j, i] = x if flavor == SYMPLECTIC else -x
-        fixed[name] = m
+    fixed = {name: _random_mirrored(flavor, dim[sq.base.arrow_by_name[name].tail],
+                                    lambda: rng.randint(-9, 9))
+             for name in sq.a_fixed}
     return StructuredRepresentation(sq, flavor, dim, mats, fixed)
+
+
+def _random_mirrored(flavor: str, n: int, draw) -> RationalMatrix:
+    """The n x n matrix, symmetric for sp and skew-symmetric for o, whose
+    entries above the diagonal (and on it, for sp) are ``draw()``, drawn
+    row by row."""
+    entries = [0] * (n * n)
+    for i in range(n):
+        if flavor == SYMPLECTIC:
+            entries[i * n + i] = draw()
+        for j in range(i + 1, n):
+            x = draw()
+            entries[i * n + j] = x
+            entries[j * n + i] = x if flavor == SYMPLECTIC else -x
+    return RationalMatrix(n, n, entries)
 
 
 # -- group elements ------------------------------------------------------------
@@ -286,10 +287,9 @@ def _random_sl(rng, n: int) -> RationalMatrix:
         j = rng.randrange(n)
         if i == j:
             continue
-        c = Fraction(rng.randint(-3, 3))
-        t = RationalMatrix.identity(n)
-        t[i, j] = c
-        m = m * t
+        t = [int(r == s) for r in range(n) for s in range(n)]
+        t[i * n + j] = rng.randint(-3, 3)
+        m = m * RationalMatrix._from_ints(n, n, t)
     return m
 
 
@@ -304,23 +304,10 @@ def _random_form_preserving(rng, flavor: str, n: int) -> RationalMatrix:
     if n == 0:
         return RationalMatrix.zero(0, 0)
     for _ in range(50):
-        if flavor == ORTHOGONAL:
-            s = RationalMatrix.zero(n, n)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    x = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                    s[i, j] = x
-                    s[j, i] = -x
-        else:
-            g = form_matrix(SYMPLECTIC, n)
-            sym = RationalMatrix.zero(n, n)
-            for i in range(n):
-                sym[i, i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                for j in range(i + 1, n):
-                    x = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                    sym[i, j] = x
-                    sym[j, i] = x
-            s = g * sym
+        # skew for o; for sp, J times a symmetric matrix
+        s = _random_mirrored(flavor, n, lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+        if flavor == SYMPLECTIC:
+            s = form_matrix(SYMPLECTIC, n) * s
         try:
             return _cayley(s)
         except ValidationError:

@@ -10,7 +10,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AsymmetricWeight, UnsupportedQuiver, ValidationError
 from .quiver import DimensionVector
-from .semiinvariant import Weight
+from .semiinvariant import Weight, _chain_vertices
 from .symmetric import SYMPLECTIC, SymmetricQuiver, classify_symmetric
 
 Partition = Tuple[int, ...]
@@ -288,23 +288,6 @@ def _chain_dim(betas: List[int], ms: List[Fraction], end_rule) -> int:
     return 1 if end_rule(normalize_partition(tuple(lam))) else 0
 
 
-def _chain_order(sq: SymmetricQuiver) -> List[int]:
-    """Vertices of an equioriented symmetric A_n from source to sink."""
-    q = sq.base
-    sources = q.sources()
-    if len(sources) != 1:
-        raise UnsupportedQuiver("oracle needs the equioriented orientation")
-    order = [sources[0]]
-    while True:
-        outs = q.arrows_out_of(order[-1])
-        if not outs:
-            break
-        order.append(outs[0].head)
-    if len(order) != len(q.vertices):
-        raise UnsupportedQuiver("underlying graph is not a chain")
-    return order
-
-
 def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
                      chi) -> int:
     """Dimension of the semi-invariant weight space, computed from partition
@@ -327,7 +310,7 @@ def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
         return chi[x] - chi[sq.sv(x)]
 
     if st.tag == "FiniteA":
-        order = _chain_order(sq)
+        order = _chain_vertices(sq)
         n = len(order)
         half = order[:n // 2]
         betas = [beta[x] for x in half]

@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, permutations, product as iproduct
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
                      NotFiniteType, NotSquare, NotSkewSymmetric, NotTame,
@@ -16,7 +17,7 @@ from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
 from .linalg import (RationalMatrix, _check_skew, _det_int, _interpolate_int, _pf_int,
                      determinant, pfaffian)
 from .presentation import PathMatrix, evaluate_template, minimal_presentation
-from .quiver import DimensionVector, Quiver, euler_form
+from .quiver import DimensionVector, Frozen, Quiver, euler_form
 from .representation import (Representation, StructuredRepresentation,
                              dvw_matrix, random_structured)
 from .symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver, classify_symmetric
@@ -24,16 +25,18 @@ from .tame import (Pencil, admissible_arcs, canonical_decomposition, pencil_temp
                    pf_singleton_template, realize_interval)
 
 
-class Weight:
-    """Rational-valued weight vector on the vertices (denominators 1 or 2)."""
+class Weight(Frozen):
+    """Rational-valued weight vector on the vertices (denominators 1 or 2).
+    Immutable: ``values`` is a read-only mapping."""
 
     __slots__ = ("values",)
 
-    def __init__(self, values: Dict[int, Fraction]):
-        self.values = {int(k): Fraction(v) for k, v in values.items()}
-        for v in self.values.values():
+    def __init__(self, values: Mapping[int, Fraction]):
+        vals = {int(k): Fraction(v) for k, v in values.items()}
+        for v in vals.values():
             if v.denominator not in (1, 2):
                 raise ValidationError("weight entries must be integers or halves")
+        self._init(values=MappingProxyType(vals))
 
     def __getitem__(self, x: int) -> Fraction:
         return self.values.get(x, Fraction(0))
@@ -75,24 +78,14 @@ class Weight:
         return "Weight(%s)" % body
 
 
-def euler_row(q: Quiver, alpha: DimensionVector) -> Weight:
-    """The linear form pairing alpha against dimension vectors on the left."""
-    vals = {}
-    for y in q.vertices:
-        v = Fraction(alpha[y])
-        for a in q.arrows_into(y):
-            v -= alpha[a.tail]
-        vals[y] = v
-    return Weight(vals)
-
-
 def weight_of_cv(sq: SymmetricQuiver, alpha: DimensionVector) -> Weight:
-    """Weight of the determinantal semi-invariant attached to alpha, with the
-    coordinates at sigma-fixed vertices zeroed out."""
-    w = euler_row(sq.base, alpha)
-    for x in sq.v_fixed:
-        w.values[x] = Fraction(0)
-    return w
+    """Weight of the determinantal semi-invariant attached to alpha: the
+    linear form pairing alpha against dimension vectors on the left, with
+    the coordinates at sigma-fixed vertices zero."""
+    q = sq.base
+    return Weight({y: 0 if y in sq.v_fixed else
+                   alpha[y] - sum(alpha[a.tail] for a in q.arrows_into(y))
+                   for y in q.vertices})
 
 
 def gamma(sq: SymmetricQuiver, chi: Weight) -> Weight:
@@ -109,9 +102,9 @@ def template_weight(sq: SymmetricQuiver, t: PathMatrix | Pencil, half: bool = Fa
         vals[v] += 1
     for v in t.rows:
         vals[v] -= 1
-    w = Weight(vals)
     for x in sq.v_fixed:
-        w.values[x] = Fraction(0)
+        vals[x] = Fraction(0)
+    w = Weight(vals)
     return w.halve() if half else w
 
 
@@ -346,6 +339,7 @@ def _dedup_values(desc: GeneratorDescriptor,
 # -- finite type -------------------------------------------------------------------
 
 def _chain_vertices(sq: SymmetricQuiver) -> List[int]:
+    """Vertices of an equioriented symmetric A_n from source to sink."""
     q = sq.base
     sources = q.sources()
     if len(sources) != 1:
@@ -518,11 +512,14 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
             t = minimal_presentation(realize_interval(sq, poly.name, arc.start, gen_length))
             provenance = "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length)
             normalized = skew_normalize_template(t, points)
-            if normalized is not None and keep_if_nonzero(GeneratorDescriptor(
+            if normalized is not None:
+                # normalized is t with its row strips permuted and signed, so
+                # det(t) = +-pf(normalized)^2 vanishes at points 0-2 whenever
+                # that pf does: t needs no det candidate
+                keep_if_nonzero(GeneratorDescriptor(
                     "pf", template_weight(sq, normalized, half=True), provenance,
-                    template=normalized)):
-                continue
-            if size(t.rows) == size(t.cols):
+                    template=normalized))
+            elif size(t.rows) == size(t.cols):
                 keep_if_nonzero(GeneratorDescriptor(
                     "det", template_weight(sq, t), provenance, template=t))
     # each sigma-fixed arrow contributes its own determinant or pfaffian;

@@ -247,8 +247,7 @@ class CanonicalDecomposition:
         raise IndexOutOfOrbit("no polygon named %r" % name)
 
 
-def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector,
-                            flavor: Optional[str] = None) -> CanonicalDecomposition:
+def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector) -> CanonicalDecomposition:
     """Unique expression of a regular symmetric vector as a multiple of the
     null root plus labelled orbit contributions, normalized so every orbit
     has a zero label."""
@@ -302,15 +301,7 @@ def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector,
                 j = other.polygon.dims.index(img)
                 if lp.labels[i] != other.labels[j]:
                     raise NotSymmetric("paired orbit labels disagree")
-    if flavor == SYMPLECTIC:
-        _check_symplectic_parity(sq, d)
     return CanonicalDecomposition(p, labelled)
-
-
-def _check_symplectic_parity(sq, d) -> None:
-    for x in sq.v_fixed:
-        if d[x] % 2:
-            raise ParityViolation("symplectic dimension at %r must be even" % x)
 
 
 # -- arcs ------------------------------------------------------------------------
@@ -434,8 +425,11 @@ def generic_decomposition(sq: SymmetricQuiver, d: DimensionVector, mode: str):
 def generic_summands(sq: SymmetricQuiver, d: DimensionVector, mode: str) -> List[Summand]:
     if mode not in ("plain", SYMPLECTIC, ORTHOGONAL):
         raise ValueError("mode must be plain, sp or o")
-    flavor = mode if mode in (SYMPLECTIC, ORTHOGONAL) else None
-    dec = canonical_decomposition(sq, d, flavor=flavor)
+    dec = canonical_decomposition(sq, d)
+    if mode == SYMPLECTIC:
+        for x in sq.v_fixed:
+            if d[x] % 2:
+                raise ParityViolation("symplectic dimension at %r must be even" % x)
     h = null_root(sq.base)
     out: List[Summand] = []
     h_budget = dec.p
@@ -696,8 +690,7 @@ def _string_module(sq, order, a: int, b: int) -> Representation:
     for z in positions:
         by_vertex[order[z % m][0]].append(z)
     dim = DimensionVector({v: len(by_vertex[v]) for v in q.vertices})
-    mats = {arrow.name: RationalMatrix.zero(dim[arrow.head], dim[arrow.tail])
-            for arrow in q.arrows}
+    nums = {arrow.name: [0] * (dim[arrow.head] * dim[arrow.tail]) for arrow in q.arrows}
     for z in range(a, b):
         v, arrow_name, direction = order[z % m]
         arrow = q.arrow_by_name[arrow_name]
@@ -705,9 +698,11 @@ def _string_module(sq, order, a: int, b: int) -> Representation:
             src, dst = z, z + 1
         else:
             src, dst = z + 1, z
-        mats[arrow_name][by_vertex[arrow.head].index(dst),
-                         by_vertex[arrow.tail].index(src)] = 1
-    return Representation(q, dim, mats)
+        nums[arrow_name][by_vertex[arrow.head].index(dst) * dim[arrow.tail]
+                         + by_vertex[arrow.tail].index(src)] = 1
+    return Representation(q, dim, {
+        arrow.name: RationalMatrix._from_ints(dim[arrow.head], dim[arrow.tail], nums[arrow.name])
+        for arrow in q.arrows})
 
 
 def _tree_module(sq, target: DimensionVector) -> Optional[Representation]:

@@ -40,13 +40,13 @@ TAME_FAMILIES = {
 
 
 def _random_skew(rng, n):
-    m = RationalMatrix.zero(n, n)
+    rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             x = Fraction(rng.randint(-9, 9))
-            m[i, j] = x
-            m[j, i] = -x
-    return m
+            rows[i][j] = x
+            rows[j][i] = -x
+    return RationalMatrix.from_rows(rows)
 
 
 def test_criterion_01_pfaffian_identities():

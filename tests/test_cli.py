@@ -174,6 +174,19 @@ def test_oracle_dim_rejects_unsupported():
     assert code == 3
 
 
+def test_oracle_dim_rejects_a_chain_with_two_sources(tmp_path, capsys):
+    """The oracle reads the equioriented chain only; A4 with the sources 2
+    and 4 is of finite type but not covered."""
+    qfile = tmp_path / "a4_two_sources.qv"
+    qfile.write_text("quiver A4s\nvertex 1 2 3 4\narrow a 2 1\narrow b 2 3\narrow c 4 3\n"
+                     "sigma v 1 4\nsigma v 2 3\nsigma a a c\nsigma a b b\n")
+    assert run_cli("classify", "-q", str(qfile)) == (0, "FiniteA(4)\n")
+    code, out = run_cli("oracle-dim", "-q", str(qfile), "--dim", "1,2,2,1",
+                        "--flavor", "sp", "--weight", "1,0,0,-1")
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_oracle_dim_rejects_weight_on_fixed_vertex():
     code, _ = run_cli("oracle-dim", "-q", str(FIX / "a5.qv"),
                       "--dim", "2,2,2,2,2", "--flavor", "sp",
@@ -280,6 +293,27 @@ def test_pencil_signs_are_applied_and_checked(tmp_path, capsys):
         assert code == 2 and out == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pencil_index_must_be_an_int(tmp_path, capsys):
+    """A pencil record's index is a JSON integer; true is not one, although
+    Python counts bool as int."""
+    qfile = str(FIX / "a201_00.qv")
+    code, out = run_cli("generators", "-q", qfile, "--dim", "2,2", "--flavor", "sp",
+                        "--json-lines")
+    assert code == 0
+    rec = json.loads(out.splitlines()[0])
+    assert rec["kind"] == "pencil-det" and rec["index"] == 0
+    gens = tmp_path / "g.jsonl"
+    for index, expected in ((0, 0), (True, 2), (1.0, 2), ("1", 2)):
+        rec["index"] = index
+        gens.write_text(json.dumps(rec) + "\n")
+        code, out = run_cli("evaluate", "-q", qfile, "--rep", str(FIX / "a201_00_p2.rep"),
+                            "--gen-file", str(gens))
+        assert code == expected
+        assert (out == "") == (expected == 2)
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 3
 
 
 @pytest.mark.parametrize("template", [{"rows": [], "cols": [1], "entries": []},

@@ -6,6 +6,7 @@ import pytest
 
 from symquiv import families
 from symquiv import io as sqio
+from symquiv import semiinvariant
 from symquiv.errors import NonOrthogonalDimensions, PatternNotFound
 from symquiv.linalg import RationalMatrix, determinant
 from symquiv.quiver import DimensionVector, euler_form, null_root
@@ -32,6 +33,42 @@ def test_weight_of_cv_examples():
     v13 = DimensionVector({1: 1, 2: 1, 3: 1, 4: 0, 5: 0})
     chi5 = weight_of_cv(sq5, v13)
     assert chi5[3] == 0  # zeroed on the fixed middle vertex
+
+
+def test_weight_values_are_read_only():
+    sq = families.symmetric_a(5)
+    chi = weight_of_cv(sq, DimensionVector({1: 1, 2: 1, 3: 1, 4: 0, 5: 0}))
+    before = hash(chi)
+    with pytest.raises(TypeError):
+        chi.values[3] = Fraction(1)
+    with pytest.raises(AttributeError):
+        chi.values = {3: Fraction(1)}
+    assert chi[3] == 0 and hash(chi) == before
+
+
+def test_no_det_candidate_after_a_skew_normalization(monkeypatch):
+    """An arc template made skew by row permutations and signs is tried as a
+    pfaffian only: its determinant is +-that pfaffian squared, so it vanishes
+    at the decision points whenever the pfaffian does."""
+    normalized, candidates = [], []
+    search, dedup = semiinvariant.skew_normalize_template, semiinvariant._dedup_values
+
+    def recording_search(t, witnesses):
+        found = search(t, witnesses)
+        if found is not None:
+            normalized.append(t)
+        return found
+
+    def recording_dedup(desc, points):
+        candidates.append(desc)
+        return dedup(desc, points)
+
+    monkeypatch.setattr(semiinvariant, "skew_normalize_template", recording_search)
+    monkeypatch.setattr(semiinvariant, "_dedup_values", recording_dedup)
+    d = DimensionVector({1: 5, 2: 5, 3: 8, 4: 5, 5: 5})
+    assert generators_tame(families.d01(3), d, SYMPLECTIC) and normalized
+    assert [c.provenance for c in candidates
+            if c.kind == "det" and any(c.template is t for t in normalized)] == []
 
 
 def test_gamma_involution_and_translation():
@@ -157,9 +194,10 @@ def test_weight_transformation_under_scaling():
     for g in gens:
         for x in sq.v_plus:
             blocks = {y: RationalMatrix.identity(beta[y]) for y in sq.v_plus}
-            scal = RationalMatrix.identity(beta[x])
-            scal[0, 0] = t  # determinant t, so the character reads the weight
-            blocks[x] = scal
+            n = beta[x]
+            # determinant t, so the character reads the weight
+            blocks[x] = RationalMatrix(n, n, [t if i == j == 0 else int(i == j)
+                                              for i in range(n) for j in range(n)])
             elt = GroupElement(sq, SYMPLECTIC, blocks,
                                {y: RationalMatrix.identity(beta[y]) for y in sq.v_fixed})
             # acting on the argument pulls the character exponent back with a
