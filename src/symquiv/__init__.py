@@ -21,7 +21,7 @@ from .representation import (Representation, StructuredRepresentation,
                              random_group_element, act)
 from .presentation import (PathMatrix, evaluate_template, minimal_presentation,
                            module_from_presentation)
-from .schur import (lr_coefficient_lists as lr_coefficient, rectangle_tensor,
+from .schur import (lr_coefficient, rectangle_tensor,
                     classical_invariant_dim, pair_semiinvariant_dim,
                     weight_space_dim)
 from .tame import (TauOrbits, tau_orbits, canonical_decomposition,

@@ -11,7 +11,7 @@ from .linalg import pfaffian
 from .quiver import DimensionVector, euler_form
 from .reflection import PLUS, reflect_pair_dim, reflect_pair_rep
 from .representation import act, random_group_element, random_structured
-from .schur import lr_coefficient_lists, weight_space_dim
+from .schur import lr_coefficient, weight_space_dim
 from .semiinvariant import evaluate_all, generators_finite, generators_tame
 from .symmetric import classify_symmetric
 from .tame import admissible_arcs, canonical_decomposition, generic_decomposition
@@ -140,7 +140,7 @@ def cmd_evaluate(args) -> int:
 def cmd_lr(args) -> int:
     lam, mu, nu = ([sqio.parse_int(t) for t in text.split(",") if t]
                    for text in (args.lam, args.mu, args.nu))
-    print(lr_coefficient_lists(lam, mu, nu))
+    print(lr_coefficient(lam, mu, nu))
     return 0
 
 

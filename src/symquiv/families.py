@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from .errors import ValidationError
 from .quiver import Quiver
@@ -18,6 +18,19 @@ def symmetric_a(n: int) -> SymmetricQuiver:
     sv = {i: n + 1 - i for i in range(1, n + 1)}
     sa = {"a%d" % i: "a%d" % (n - i) for i in range(1, n)}
     return SymmetricQuiver(q, sv, sa)
+
+
+def _mirrored(name: str, verts: List[int], s: Callable[[int], int],
+              arrows: List[Tuple[str, int, int]]) -> SymmetricQuiver:
+    """The symmetric quiver on ``verts`` and ``arrows`` with the vertex
+    involution ``s``: an arrow ``x`` mirrors to ``x~``, and an arrow with no
+    ``~`` partner is sigma-fixed."""
+    names = {a for a, _, _ in arrows}
+    sa = {}
+    for a, _, _ in arrows:
+        partner = a[:-1] if a.endswith("~") else a + "~"
+        sa[a] = partner if partner in names else a
+    return SymmetricQuiver(Quiver(verts, arrows, name=name), {i: s(i) for i in verts}, sa)
 
 
 def _even(x: int, what: str) -> None:
@@ -46,16 +59,7 @@ def a201(k: int, l: int) -> SymmetricQuiver:
         arrows.append(("u%d" % j, y[j - 1], y[j]))
         arrows.append(("u%d~" % j, s(y[j]), s(y[j - 1])))
     arrows.append(("b", y[k // 2], s(y[k // 2])))
-    q = Quiver(verts, arrows, name="A201_%d_%d" % (k, l))
-    sv = {i: s(i) for i in verts}
-    sa = {"a": "a", "b": "b"}
-    for i in range(1, l // 2 + 1):
-        sa["v%d" % i] = "v%d~" % i
-        sa["v%d~" % i] = "v%d" % i
-    for j in range(1, k // 2 + 1):
-        sa["u%d" % j] = "u%d~" % j
-        sa["u%d~" % j] = "u%d" % j
-    return SymmetricQuiver(q, sv, sa)
+    return _mirrored("A201_%d_%d" % (k, l), verts, s, arrows)
 
 
 def a202(k: int, l: int) -> SymmetricQuiver:
@@ -102,16 +106,7 @@ def a02(k: int, l: int) -> SymmetricQuiver:
         head = y[j] if j < len(y) else bottom
         arrows.append(("u%d" % j, tail, head))
         arrows.append(("u%d~" % j, s(head), s(tail)))
-    q = Quiver(verts, arrows, name="A02_%d_%d" % (k, l))
-    sv = {i: s(i) for i in verts}
-    sa: Dict[str, str] = {}
-    for i in range(1, l // 2 + 1):
-        sa["v%d" % i] = "v%d~" % i
-        sa["v%d~" % i] = "v%d" % i
-    for j in range(1, k // 2 + 1):
-        sa["u%d" % j] = "u%d~" % j
-        sa["u%d~" % j] = "u%d" % j
-    return SymmetricQuiver(q, sv, sa)
+    return _mirrored("A02_%d_%d" % (k, l), verts, s, arrows)
 
 
 def a11(k: int, l: int) -> SymmetricQuiver:
@@ -141,16 +136,7 @@ def a11(k: int, l: int) -> SymmetricQuiver:
         arrows.append(("u%d" % j, y[j - 1], y[j]))
         arrows.append(("u%d~" % j, s(y[j]), s(y[j - 1])))
     arrows.append(("b", y[k // 2], s(y[k // 2])))
-    q = Quiver(verts, arrows, name="A11_%d_%d" % (k, l))
-    sv = {i: s(i) for i in verts}
-    sa = {"b": "b"}
-    for i in range(1, l // 2 + 1):
-        sa["v%d" % i] = "v%d~" % i
-        sa["v%d~" % i] = "v%d" % i
-    for j in range(1, k // 2 + 1):
-        sa["u%d" % j] = "u%d~" % j
-        sa["u%d~" % j] = "u%d" % j
-    return SymmetricQuiver(q, sv, sa)
+    return _mirrored("A11_%d_%d" % (k, l), verts, s, arrows)
 
 
 def a00(k: int) -> SymmetricQuiver:
@@ -170,13 +156,7 @@ def a00(k: int) -> SymmetricQuiver:
         arrows.append(("v%d~" % i, s(x[i]), s(x[i - 1])))
     arrows.append(("v%d" % k, x[k - 1], s(1)))
     arrows.append(("v%d~" % k, 1, s(x[k - 1])))
-    q = Quiver(verts, arrows, name="A00_%d" % k)
-    sv = {i: s(i) for i in verts}
-    sa: Dict[str, str] = {}
-    for i in range(1, k + 1):
-        sa["v%d" % i] = "v%d~" % i
-        sa["v%d~" % i] = "v%d" % i
-    return SymmetricQuiver(q, sv, sa)
+    return _mirrored("A00_%d" % k, verts, s, arrows)
 
 
 def d10(n: int) -> SymmetricQuiver:
@@ -196,14 +176,7 @@ def d10(n: int) -> SymmetricQuiver:
         arrows.append(("c%d" % (i + 1), z[i], z[i + 1]))
         arrows.append(("c%d~" % (i + 1), s(z[i + 1]), s(z[i])))
     arrows.append(("c%d" % (len(z)), z[-1], s(z[-1])))  # sigma-fixed central arrow
-    q = Quiver(verts, arrows, name="D10_%d" % n)
-    sv = {i: s(i) for i in verts}
-    sa = {"a": "a~", "a~": "a", "b": "b~", "b~": "b",
-          "c%d" % len(z): "c%d" % len(z)}
-    for i in range(1, len(z)):
-        sa["c%d" % i] = "c%d~" % i
-        sa["c%d~" % i] = "c%d" % i
-    return SymmetricQuiver(q, sv, sa)
+    return _mirrored("D10_%d" % n, verts, s, arrows)
 
 
 def d01(n: int) -> SymmetricQuiver:
@@ -230,11 +203,5 @@ def d01(n: int) -> SymmetricQuiver:
     for i in range(len(chain) - 1):
         arrows.append(("c%d" % (i + 1), chain[i], chain[i + 1]))
         arrows.append(("c%d~" % (i + 1), s(chain[i + 1]), s(chain[i])))
-    q = Quiver(verts, arrows, name="D01_%d" % n)
-    sv = {i: s(i) for i in verts}
-    sa = {"a": "a~", "a~": "a", "b": "b~", "b~": "b"}
-    for i in range(1, len(chain)):
-        sa["c%d" % i] = "c%d~" % i
-        sa["c%d~" % i] = "c%d" % i
-    return SymmetricQuiver(q, sv, sa)
+    return _mirrored("D01_%d" % n, verts, s, arrows)
 

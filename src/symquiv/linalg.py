@@ -20,7 +20,6 @@ from typing import List, NamedTuple, Optional, Sequence
 from .errors import NotSkewSymmetric, NotSquare, OddDimension, ValidationError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _exact(x):
@@ -339,30 +338,6 @@ def linalg_kit(m: RationalMatrix) -> LinalgKit:
     return LinalgKit(rank=r, det=det, kernel_basis=basis, cokernel_dim=m.rows - r)
 
 
-def pfaffian_matching_sum(m: RationalMatrix) -> Fraction:
-    """Pfaffian via the signed sum over perfect matchings (test oracle)."""
-    _check_skew(m)
-    n = m.rows
-    if n == 0:
-        return ONE
-
-    def rec(indices):
-        if not indices:
-            return ONE
-        i = indices[0]
-        total = ZERO
-        for pos in range(1, len(indices)):
-            j = indices[pos]
-            a = m[i, j]
-            if a:
-                rest = indices[1:pos] + indices[pos + 1:]
-                sign = -ONE if pos % 2 == 0 else ONE
-                total += sign * a * rec(rest)
-        return total
-
-    return rec(tuple(range(n)))
-
-
 def pfaffian(m: RationalMatrix) -> Fraction:
     """Exact Pfaffian of an even skew-symmetric matrix: the numerators go
     through ``_pf_int``, and pf(A / d) = pf(A) / d^(n/2)."""
@@ -451,8 +426,9 @@ def interpolate_polynomial(points: Sequence) -> List[Fraction]:
 
     ``points`` is a sequence of (x, y) pairs with distinct rational x.  Newton
     divided differences, expanded to monomial coefficients: O(n^2) exact
-    operations.  Trailing zero coefficients are dropped.  Integer values at
-    the nodes 0..d take the all-int route of :func:`_interpolate_int`.
+    operations.  Trailing zero coefficients are dropped.  For int values at
+    the nodes 0..d, :func:`_interpolate_int` gives the same coefficients on
+    ints; the pencil calls that one directly.
     """
     xs = [Fraction(x) for x, _ in points]
     dd = [Fraction(y) for _, y in points]

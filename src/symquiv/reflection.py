@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from .errors import NotAdmissible, NonzeroOnFixedVertex, NotSinkOrSource
-from .linalg import RationalMatrix, column_space_complement, kernel_basis
+from .linalg import RationalMatrix, column_space_complement
 from .quiver import DimensionVector, Quiver
 from .representation import Representation
 from .symmetric import SymmetricQuiver, admissible_sinks
@@ -77,54 +77,43 @@ def reflect_weight(sq: SymmetricQuiver, x: int, chi) -> Dict[int, Fraction]:
 def reflect_rep(q: Quiver, x: int, direction: str, v: Representation):
     """Kernel (plus, at a sink) or cokernel (minus, at a source) reflection.
 
-    Returns (reflected quiver, reflected representation) with deterministic
-    bases: kernels from reduced row echelon form, cokernels from the greedy
-    standard-vector complement of the column space.
+    Returns (reflected quiver, reflected representation).  The two are one
+    step, the sink reflection being the source reflection of the transposed
+    matrices (Bernstein, Gelfand & Ponomarev 1973): the arrow matrices at x,
+    ordered by name and transposed at a sink, are stacked in a column, and
+    the rows of the projection onto the greedy standard-vector complement of
+    the stack's column space, cut into one block per arrow, are the new
+    matrices, transposed back at a sink.  Those rows are the kernel basis,
+    from reduced row echelon form, of the transposed stack, so the bases are
+    deterministic.
     """
     if direction == PLUS:
         if not q.is_sink(x):
             raise NotSinkOrSource("plus reflection needs a sink, %r is not" % x)
-        arrows = sorted(q.arrows_into(x), key=lambda a: a.name)
-        stacked = (RationalMatrix.block([[v.matrices[a.name] for a in arrows]]) if arrows
-                   else RationalMatrix.zero(v.dim[x], 0))
-        kb = kernel_basis(stacked)
-        new_dim = v.dim.replace(x, len(kb))
-        qr = q.reverse_arrows_at(x)
-        mats = {}
-        for a in q.arrows:
-            if a.head != x:
-                mats[a.name] = v.matrices[a.name]
-        off = 0
-        for a in arrows:
-            width = v.dim[a.tail]
-            proj = (RationalMatrix.from_rows([vec[off:off + width] for vec in kb]).transpose()
-                    if kb else RationalMatrix.zero(width, 0))
-            mats[a.name] = proj  # reversed arrow x -> tail
-            off += width
-        return qr, Representation(qr, new_dim, mats)
-    if direction == MINUS:
+        arrows = q.arrows_into(x)
+    elif direction == MINUS:
         if not q.is_source(x):
             raise NotSinkOrSource("minus reflection needs a source, %r is not" % x)
-        arrows = sorted(q.arrows_out_of(x), key=lambda a: a.name)
-        stacked = (RationalMatrix.block([[v.matrices[a.name]] for a in arrows]) if arrows
-                   else RationalMatrix.zero(0, v.dim[x]))
-        proj, _comp = column_space_complement(stacked)
-        new_dim = v.dim.replace(x, proj.rows)
-        qr = q.reverse_arrows_at(x)
-        mats = {}
-        for a in q.arrows:
-            if a.tail != x:
-                mats[a.name] = v.matrices[a.name]
-        off = 0
-        for a in arrows:
-            height = v.dim[a.head]
-            incl = RationalMatrix._from_ints(
-                proj.rows, height, [x for row in proj.int_rows() for x in row[off:off + height]],
-                proj.den)
-            mats[a.name] = incl  # reversed arrow head -> x
-            off += height
-        return qr, Representation(qr, new_dim, mats)
-    raise ValueError("direction must be 'plus' or 'minus'")
+        arrows = q.arrows_out_of(x)
+    else:
+        raise ValueError("direction must be 'plus' or 'minus'")
+    arrows.sort(key=lambda a: a.name)
+    plus = direction == PLUS
+    blocks = [v.matrices[a.name].transpose() if plus else v.matrices[a.name]
+              for a in arrows]
+    stack = (RationalMatrix.block([[b] for b in blocks]) if blocks
+             else RationalMatrix.zero(0, v.dim[x]))
+    proj, _comp = column_space_complement(stack)
+    rows = proj.int_rows()
+    mats = dict(v.matrices)
+    off = 0
+    for a, b in zip(arrows, blocks):
+        cut = RationalMatrix._from_ints(
+            proj.rows, b.rows, [y for row in rows for y in row[off:off + b.rows]], proj.den)
+        mats[a.name] = cut.transpose() if plus else cut
+        off += b.rows
+    qr = q.reverse_arrows_at(x)
+    return qr, Representation(qr, v.dim.replace(x, proj.rows), mats)
 
 
 def reflect_pair_rep(sq: SymmetricQuiver, x: int, direction: str, v: Representation):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Dict
+from typing import Dict, Iterable, Mapping
 
 from .errors import (AsymmetricDimension, BadInterval, OddSymplecticDimension,
                      QuiverMismatch, ShapeMismatch, ValidationError)
@@ -18,22 +18,37 @@ from .quiver import DimensionVector, Frozen, Quiver
 from .symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver
 
 
-class Representation:
-    """Rational matrices attached to the arrows of a quiver."""
+class Representation(Frozen):
+    """Rational matrices attached to the arrows of a quiver.
+
+    Immutable: ``matrices`` is a read-only view of matrices, which never
+    change.  Arrows missing from ``matrices`` get zero matrices.
+    """
+
+    __slots__ = ("quiver", "dim", "matrices")
 
     def __init__(self, quiver: Quiver, dim: DimensionVector,
-                 matrices: Dict[str, RationalMatrix]):
-        self.quiver = quiver
-        self.dim = dim
-        self.matrices = dict(matrices)
+                 matrices: Mapping[str, RationalMatrix]):
+        mats = {}
         for a in quiver.arrows:
-            m = self.matrices.get(a.name)
+            m = matrices.get(a.name)
             if m is None:
                 m = RationalMatrix.zero(dim[a.head], dim[a.tail])
-                self.matrices[a.name] = m
             if m.rows != dim[a.head] or m.cols != dim[a.tail]:
                 raise ShapeMismatch(
                     "matrix for %s must be %dx%d" % (a.name, dim[a.head], dim[a.tail]))
+            mats[a.name] = m
+        self._init(quiver=quiver, dim=dim, matrices=MappingProxyType(mats))
+
+    @classmethod
+    def thin(cls, quiver: Quiver, support: Iterable[int]) -> "Representation":
+        """Dimension 1 on ``support`` and 0 elsewhere, with the identity on
+        every arrow whose ends both lie in the support."""
+        inside = set(support)
+        dim = DimensionVector({v: int(v in inside) for v in quiver.vertices})
+        one = RationalMatrix.identity(1)
+        return cls(quiver, dim, {a.name: one for a in quiver.arrows
+                                 if a.tail in inside and a.head in inside})
 
     def direct_sum(self, other: "Representation") -> "Representation":
         if self.quiver is not other.quiver and \
@@ -57,13 +72,7 @@ def interval_module(n: int, j: int, i: int) -> Representation:
     """The indecomposable of equioriented A_n supported on [j, i]."""
     if not (1 <= j <= i <= n):
         raise BadInterval("need 1 <= j <= i <= n")
-    q = symmetric_a(n).base
-    dim = DimensionVector({v: 1 if j <= v <= i else 0 for v in q.vertices})
-    mats = {}
-    for a in q.arrows:
-        if j <= a.tail and a.head <= i:
-            mats[a.name] = RationalMatrix.identity(1)
-    return Representation(q, dim, mats)
+    return Representation.thin(symmetric_a(n).base, range(j, i + 1))
 
 
 def dvw_matrix(v: Representation, w: Representation) -> RationalMatrix:
@@ -186,7 +195,7 @@ class StructuredRepresentation(Frozen):
     def full(self) -> Representation:
         """The induced representation of the underlying quiver, built on the
         first request and kept on this object: every call returns the same
-        ``Representation``, which callers must not change.
+        ``Representation``.
 
         Mirror arrows carry minus-transpose matrices, twisted by the fixed
         vertex pairing where an endpoint is sigma-fixed.

@@ -5,7 +5,6 @@ independent weight-space dimension oracle for supported quivers."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AsymmetricWeight, UnsupportedQuiver, ValidationError
@@ -83,10 +82,10 @@ def partitions_of(n: int, max_part: Optional[int] = None,
     return out
 
 
-@lru_cache(maxsize=None)
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Number of Littlewood-Richardson skew tableaux of shape nu/lam and
-    content mu whose row word is a lattice permutation."""
+    content mu whose row word is a lattice permutation.  The partitions may
+    be any int sequences; trailing zeros are dropped."""
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)
     nu = normalize_partition(nu)
@@ -138,11 +137,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     place(0, nu[0] - 1, [0] * nu[0], [])
     return total
-
-
-def lr_coefficient_lists(lam, mu, nu) -> int:
-    return lr_coefficient(normalize_partition(lam), normalize_partition(mu),
-                          normalize_partition(nu))
 
 
 def rectangle_tensor(l: int, s: int, m: int, t: int) -> List[Partition]:

@@ -14,8 +14,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
                      NotFiniteType, NotSquare, NotSkewSymmetric, NotTame,
                      OddSymplecticDimension, PatternNotFound, ValidationError)
-from .linalg import (RationalMatrix, _check_skew, _det_int, _interpolate_int, _pf_int,
-                     determinant, pfaffian)
+from .linalg import (_check_skew, _det_int, _interpolate_int, _pf_int, determinant,
+                     pfaffian)
 from .presentation import PathMatrix, evaluate_template, minimal_presentation
 from .quiver import DimensionVector, Frozen, Quiver, euler_form
 from .representation import (Representation, StructuredRepresentation,
@@ -361,13 +361,7 @@ def chain_interval_module(sq: SymmetricQuiver, j: int, i: int) -> Representation
     n = len(order)
     if not (1 <= j <= i <= n):
         raise ValidationError("interval out of range")
-    inside = set(order[j - 1:i])
-    dim = DimensionVector({v: int(v in inside) for v in sq.base.vertices})
-    mats = {}
-    for a in sq.base.arrows:
-        if dim[a.tail] and dim[a.head]:
-            mats[a.name] = RationalMatrix.identity(1)
-    return Representation(sq.base, dim, mats)
+    return Representation.thin(sq.base, order[j - 1:i])
 
 
 def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
@@ -378,6 +372,8 @@ def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
         raise NotFiniteType("generators_finite needs a finite symmetric type")
     if not sq.is_symmetric_dim(beta):
         raise AsymmetricDimension("beta must be sigma-symmetric")
+    if any(x < 0 for x in beta.values.values()):
+        raise ValidationError("beta must have nonnegative entries")
     order = _chain_vertices(sq)
     n = len(order)
     m = n // 2
@@ -581,39 +577,25 @@ def reduce_composition(sq: SymmetricQuiver, alpha: DimensionVector,
             else:
                 extracted.append(_single_arrow_descriptor(sq, a.name, "det"))
             new_arrow = a.name + "." + b.name + "." + sq.sa(a.name)
-            arrows_new = [(ar.name, ar.tail, ar.head) for ar in q.arrows
-                          if ar.name not in (a.name, b.name, sq.sa(a.name))]
-            arrows_new.append((new_arrow, y, sq.sv(y)))
-            verts = [v for v in q.vertices if v not in (x, sq.sv(x))]
-            q2 = Quiver(verts, arrows_new, name=q.name + "-red")
-            sv = {v: sq.sv(v) for v in verts}
-            sa = {ar: sq.sa(ar) for ar in q2.arrow_by_name if ar != new_arrow}
-            sa[new_arrow] = new_arrow
-            sq2 = type(sq)(q2, sv, sa)
+            added = [(new_arrow, y, sq.sv(y))]
         else:
-            if ax > max(ay, az):
-                pass
-            elif ax == ay and ax > az:
+            if ax == ay:
                 extracted.append(_single_arrow_descriptor(sq, a.name, "det"))
-            elif ax == az and ax > ay:
-                extracted.append(_single_arrow_descriptor(sq, b.name, "det"))
-            else:
-                extracted.append(_single_arrow_descriptor(sq, a.name, "det"))
+            if ax == az:
                 extracted.append(_single_arrow_descriptor(sq, b.name, "det"))
             new_arrow = a.name + "." + b.name
             mirror_new = sq.sa(b.name) + "." + sq.sa(a.name)
-            drop = {a.name, b.name, sq.sa(a.name), sq.sa(b.name)}
-            arrows_new = [(ar.name, ar.tail, ar.head) for ar in q.arrows
-                          if ar.name not in drop]
-            arrows_new.append((new_arrow, y, z))
-            arrows_new.append((mirror_new, sq.sv(z), sq.sv(y)))
-            verts = [v for v in q.vertices if v not in (x, sq.sv(x))]
-            q2 = Quiver(verts, arrows_new, name=q.name + "-red")
-            sv = {v: sq.sv(v) for v in verts}
-            sa = {ar.name: sq.sa(ar.name) for ar in q.arrows if ar.name not in drop}
-            sa[new_arrow] = mirror_new
-            sa[mirror_new] = new_arrow
-            sq2 = type(sq)(q2, sv, sa)
+            added = [(new_arrow, y, z), (mirror_new, sq.sv(z), sq.sv(y))]
+        drop = {a.name, b.name, sq.sa(a.name), sq.sa(b.name)}
+        kept = [ar for ar in q.arrows if ar.name not in drop]
+        verts = [v for v in q.vertices if v not in (x, sq.sv(x))]
+        q2 = Quiver(verts, [(ar.name, ar.tail, ar.head) for ar in kept] + added,
+                    name=q.name + "-red")
+        sa = {ar.name: sq.sa(ar.name) for ar in kept}
+        # one added arrow is sigma-fixed; two added arrows mirror each other
+        names = [name for name, _, _ in added]
+        sa.update(zip(names, reversed(names)))
+        sq2 = type(sq)(q2, {v: sq.sv(v) for v in verts}, sa)
         alpha2 = DimensionVector({v: alpha[v] for v in verts})
         return sq2, alpha2, extracted
     raise PatternNotFound("no contractible two-arrow vertex")

@@ -80,11 +80,6 @@ class LabelledPolygon:
     labels: List[int]
 
 
-def _candidate_regular_simples(q: Quiver) -> List[DimensionVector]:
-    """The positive real roots below h, other than h, with zero defect."""
-    return list(_dimension_vectors(q.vertices, _regular_simple_roots(q)))
-
-
 def _regular_simple_roots(q: Quiver) -> List[Tuple[int, ...]]:
     """The positive real roots below h, other than h, with zero defect, as
     int tuples in ``q.vertices`` order.
@@ -724,11 +719,15 @@ def _tree_module(sq, target: DimensionVector) -> Optional[Representation]:
                     frontier.append(w)
     if seen != support:
         return None
-    mats = {}
-    for a in q.arrows:
-        if a.tail in support and a.head in support:
-            mats[a.name] = RationalMatrix.identity(1)
-    return Representation(q, target, mats)
+    return Representation.thin(q, support)
+
+
+def _pencil_module(template: PathMatrix) -> Representation:
+    """The module presented by a template of the pencil family, whose
+    dimension is the null root."""
+    mod = module_from_presentation(template)
+    assert mod.dim == null_root(template.quiver), "pencil module off the null root"
+    return mod
 
 
 def _dtilde_wrap_template(sq, poly: Polygon) -> PathMatrix:
@@ -770,19 +769,15 @@ def realize_interval(sq: SymmetricQuiver, poly_name: str, start: int,
     # D-tilde families
     if length >= r:
         if length == r:
-            t = _dtilde_wrap_template(sq, poly)
-            mod = module_from_presentation(t)
-            assert mod.dim == null_root(sq.base)
-            return mod
+            return _pencil_module(_dtilde_wrap_template(sq, poly))
         raise IndexOutOfOrbit("intervals beyond one full turn are not realized here")
     target = poly.interval_sum(start, length)
+    shifted = target
     for shift in range(2 * r + 1):
-        shifted = target
-        for _ in range(shift):
+        if shift:
             shifted = coxeter_dim(sq.base, shifted, PLUS)
-        tree = _tree_module(sq, shifted)
-        if tree is not None:
-            mod = tree
+        mod = _tree_module(sq, shifted)
+        if mod is not None:
             for _ in range(shift):
                 mod = coxeter_rep(sq.base, mod, MINUS)
             assert mod.dim == target
@@ -790,18 +785,13 @@ def realize_interval(sq: SymmetricQuiver, poly_name: str, start: int,
     raise IndexOutOfOrbit("no tree realization of the requested interval")
 
 
-def realize_summand(sq: SymmetricQuiver, summand: Summand,
-                    parameter_offset: int = 0) -> Representation:
+def realize_summand(sq: SymmetricQuiver, summand: Summand) -> Representation:
     """A module of the summand's dimension, per the recipe attached to it."""
     kind = summand.recipe[0]
     if kind == "h":
-        idx = summand.recipe[1] + parameter_offset
-        pen = pencil_templates(sq)
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-        phi = Fraction(primes[idx % len(primes)])
-        mod = module_from_presentation(pen.combine(phi, Fraction(1)))
-        assert mod.dim == null_root(sq.base)
-        return mod
+        phi = primes[summand.recipe[1] % len(primes)]
+        return _pencil_module(pencil_templates(sq).combine(Fraction(phi), Fraction(1)))
     _, poly_name, start, length = summand.recipe
     if kind == "symarc":
         return realize_interval(sq, poly_name, start, length)
@@ -824,10 +814,7 @@ def tame_regular_module(sq: SymmetricQuiver, which: Tuple) -> Representation:
     tag = which[0]
     if tag == "Vhom":
         _, phi, psi = which
-        pen = pencil_templates(sq)
-        mod = module_from_presentation(pen.combine(Fraction(phi), Fraction(psi)))
-        assert mod.dim == null_root(sq.base)
-        return mod
+        return _pencil_module(pencil_templates(sq).combine(Fraction(phi), Fraction(psi)))
     poly_name = {"E": "delta", "E1": "delta1", "E2": "delta2"}.get(tag)
     if poly_name is None:
         raise IndexOutOfOrbit("unknown module family %r" % (tag,))

@@ -65,6 +65,17 @@ def test_lr_command():
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("flavor", ["o", "sp"])
+def test_negative_dimension_exits_2(capsys, flavor):
+    """A negative entry of a finite-type dimension vector is a validation
+    error in both flavors, not a traceback (o) or a generator list (sp)."""
+    code, out = run_cli("generators", "-q", str(FIX / "a4.qv"), "--dim=-1,2,2,-1",
+                        "--flavor", flavor)
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: beta must have nonnegative entries\n"
+
+
 def test_pfaffian_command(tmp_path):
     mfile = tmp_path / "m.txt"
     mfile.write_text("0 5\n-5 0\n")

@@ -6,7 +6,24 @@ import pytest
 from symquiv.errors import NotSkewSymmetric, OddDimension, ValidationError
 from symquiv.linalg import (RationalMatrix, _interpolate_int, column_space_complement,
                             determinant, interpolate_polynomial, inverse, kernel_basis, linalg_kit,
-                            pfaffian, pfaffian_matching_sum, rank, rref, solve)
+                            pfaffian, rank, rref, solve)
+
+
+def pfaffian_matching_sum(m: RationalMatrix) -> Fraction:
+    """Pfaffian via the signed sum over perfect matchings (test oracle)."""
+    def rec(indices):
+        if not indices:
+            return Fraction(1)
+        i = indices[0]
+        total = Fraction(0)
+        for pos in range(1, len(indices)):
+            a = m[i, indices[pos]]
+            if a:
+                rest = indices[1:pos] + indices[pos + 1:]
+                total += (-1 if pos % 2 == 0 else 1) * a * rec(rest)
+        return total
+
+    return rec(tuple(range(m.rows)))
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):

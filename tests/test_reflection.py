@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from symquiv import families
 from symquiv.errors import NotSinkOrSource
-from symquiv.quiver import DimensionVector, null_root
-from symquiv.reflection import (MINUS, PLUS, coxeter_dim, coxeter_rep,
-                                dual_rep, reflect_dim, reflect_pair_dim,
+from symquiv.io import parse_quiver
+from symquiv.linalg import RationalMatrix, column_space_complement, kernel_basis
+from symquiv.quiver import DimensionVector, Quiver, null_root
+from symquiv.reflection import (MINUS, PLUS, _admissible_numbering, coxeter_dim,
+                                coxeter_rep, dual_rep, reflect_dim, reflect_pair_dim,
                                 reflect_pair_rep, reflect_rep, reflect_weight)
 from symquiv.representation import (Representation, dvw_and_homext,
                                     interval_module, random_structured)
@@ -146,3 +149,109 @@ def test_pair_reflection_preserves_structure():
         dual = dual_rep(sq2, refl)
         _, hom, _ = dvw_and_homext(refl, dual)
         assert hom >= 1
+
+
+def _two_branch_reflect_rep(q, x, direction, v):
+    """Oracle: the sink and source reflections as two separate branches.
+
+    Returns (reflected quiver, reflected representation) with deterministic
+    bases: kernels from reduced row echelon form, cokernels from the greedy
+    standard-vector complement of the column space.
+    """
+    if direction == PLUS:
+        if not q.is_sink(x):
+            raise NotSinkOrSource("plus reflection needs a sink, %r is not" % x)
+        arrows = sorted(q.arrows_into(x), key=lambda a: a.name)
+        stacked = (RationalMatrix.block([[v.matrices[a.name] for a in arrows]]) if arrows
+                   else RationalMatrix.zero(v.dim[x], 0))
+        kb = kernel_basis(stacked)
+        new_dim = v.dim.replace(x, len(kb))
+        qr = q.reverse_arrows_at(x)
+        mats = {}
+        for a in q.arrows:
+            if a.head != x:
+                mats[a.name] = v.matrices[a.name]
+        off = 0
+        for a in arrows:
+            width = v.dim[a.tail]
+            proj = (RationalMatrix.from_rows([vec[off:off + width] for vec in kb]).transpose()
+                    if kb else RationalMatrix.zero(width, 0))
+            mats[a.name] = proj  # reversed arrow x -> tail
+            off += width
+        return qr, Representation(qr, new_dim, mats)
+    if direction == MINUS:
+        if not q.is_source(x):
+            raise NotSinkOrSource("minus reflection needs a source, %r is not" % x)
+        arrows = sorted(q.arrows_out_of(x), key=lambda a: a.name)
+        stacked = (RationalMatrix.block([[v.matrices[a.name]] for a in arrows]) if arrows
+                   else RationalMatrix.zero(0, v.dim[x]))
+        proj, _comp = column_space_complement(stacked)
+        new_dim = v.dim.replace(x, proj.rows)
+        qr = q.reverse_arrows_at(x)
+        mats = {}
+        for a in q.arrows:
+            if a.tail != x:
+                mats[a.name] = v.matrices[a.name]
+        off = 0
+        for a in arrows:
+            height = v.dim[a.head]
+            incl = RationalMatrix._from_ints(
+                proj.rows, height, [x for row in proj.int_rows() for x in row[off:off + height]],
+                proj.den)
+            mats[a.name] = incl  # reversed arrow head -> x
+            off += height
+        return qr, Representation(qr, new_dim, mats)
+    raise ValueError("direction must be 'plus' or 'minus'")
+
+
+def _same_rep(v, w):
+    return (v.quiver.orientation_key() == w.quiver.orientation_key()
+            and v.dim == w.dim and dict(v.matrices) == dict(w.matrices))
+
+
+def _random_rep(rng, q):
+    dim = DimensionVector({x: rng.choice((0, 0, 1, 2, 3)) for x in q.vertices})
+    return Representation(q, dim, {a.name: RationalMatrix(
+        dim[a.head], dim[a.tail],
+        [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+         for _ in range(dim[a.head] * dim[a.tail])]) for a in q.arrows})
+
+
+def _reflection_quivers():
+    fixtures = Path(__file__).parent / "fixtures"
+    for path in sorted(fixtures.glob("*.qv")):
+        yield parse_quiver(path.read_text()).base
+    for sq in (families.symmetric_a(5), families.a201(2, 4), families.a202(2, 2),
+               families.a02(2, 2), families.a11(2, 2), families.a00(4),
+               families.d10(4), families.d01(5)):
+        yield sq.base
+    # an isolated vertex is a sink and a source at once
+    yield Quiver([1, 2, 3, 4], [("a", 1, 2), ("b", 3, 2)], name="isolated")
+
+
+def test_one_reflection_step_matches_the_two_branches():
+    """The single reflection body gives exactly the matrices of a separate
+    kernel branch (plus) and cokernel branch (minus), on random rational
+    representations, zero-dimensional vertices included, and so does the
+    Coxeter functor built from it."""
+    rng = random.Random(12)
+    zero_dim = isolated = 0
+    for q in _reflection_quivers():
+        for _ in range(6):
+            v = _random_rep(rng, q)
+            for x in q.vertices:
+                for direction, ok in ((PLUS, q.is_sink(x)), (MINUS, q.is_source(x))):
+                    if not ok:
+                        continue
+                    qr, got = reflect_rep(q, x, direction, v)
+                    _, want = _two_branch_reflect_rep(q, x, direction, v)
+                    assert _same_rep(got, want), (q.name, x, direction)
+                    assert got.quiver is qr
+                    zero_dim += v.dim[x] == 0
+                    isolated += not q.arrows_at(x)
+            for direction in (PLUS, MINUS):
+                want, cur_q = v, q
+                for x in _admissible_numbering(q, direction):
+                    cur_q, want = _two_branch_reflect_rep(cur_q, x, direction, want)
+                assert _same_rep(coxeter_rep(q, v, direction), want), (q.name, direction)
+    assert zero_dim and isolated

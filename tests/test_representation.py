@@ -11,6 +11,7 @@ from symquiv.representation import (GroupElement, Representation, act,
                                     form_matrix, identity_group_element,
                                     interval_module, random_group_element,
                                     random_structured)
+from symquiv.semiinvariant import chain_interval_module
 from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC
 
 
@@ -169,3 +170,65 @@ def test_act_inverts_each_block_once(monkeypatch):
                 gti = real_inverse(g_at(sq.base.arrow_by_name[name].tail))
                 assert out.fixed_matrices[name] == (gti.transpose()
                                                     * sr.fixed_matrices[name] * gti)
+
+
+def test_representations_are_frozen_values():
+    """Neither the matrix map nor an attribute of a Representation can be
+    changed, so the value StructuredRepresentation.full() keeps stays as it
+    was built."""
+    sq = families.a201(2, 2)
+    dim = DimensionVector({v: 1 for v in sq.base.vertices})
+    sr = random_structured(sq, SYMPLECTIC, dim, seed=1)
+    full = sr.full()
+    before = dict(full.matrices)
+    name = sq.base.arrows[0].name
+    with pytest.raises(TypeError):
+        full.matrices[name] = RationalMatrix.zero(1, 1)
+    with pytest.raises(TypeError):
+        del full.matrices[name]
+    for attr, value in (("dim", None), ("matrices", {}), ("quiver", None)):
+        with pytest.raises(AttributeError):
+            setattr(full, attr, value)
+    with pytest.raises(AttributeError):
+        full.extra = 1
+    assert sr.full() is full
+    assert dict(sr.full().matrices) == before
+    assert not full.matrices[name].is_zero()
+
+
+def test_representation_copies_its_matrix_map():
+    q = families.symmetric_a(3).base
+    one = RationalMatrix.identity(1)
+    mats = {"a1": one}
+    v = Representation(q, DimensionVector({1: 1, 2: 1, 3: 1}), mats)
+    mats["a1"] = RationalMatrix.zero(1, 1)
+    mats["a2"] = one
+    assert v.matrices["a1"] == one
+    assert v.matrices["a2"].is_zero()
+
+
+def _thin_oracle(q, support):
+    inside = set(support)
+    dim = DimensionVector({v: int(v in inside) for v in q.vertices})
+    mats = {a.name: RationalMatrix.identity(1) if a.tail in inside and a.head in inside
+            else RationalMatrix.zero(dim[a.head], dim[a.tail]) for a in q.arrows}
+    return dim, mats
+
+
+def test_thin_constructor_builds_every_interval_module():
+    """Representation.thin equals interval_module and chain_interval_module,
+    and an explicit construction, on every interval of symmetric_a(2..7)."""
+    for n in range(2, 8):
+        sq = families.symmetric_a(n)
+        for j in range(1, n + 1):
+            for i in range(j, n + 1):
+                thin = Representation.thin(sq.base, range(j, i + 1))
+                assert (thin.dim, dict(thin.matrices)) == _thin_oracle(sq.base, range(j, i + 1))
+                for other in (interval_module(n, j, i), chain_interval_module(sq, j, i)):
+                    assert other.dim == thin.dim
+                    assert dict(other.matrices) == dict(thin.matrices)
+    # a support that is not connected still gets identities only inside it
+    q = families.d10(3).base
+    support = [1, 3, 6]
+    thin = Representation.thin(q, support)
+    assert (thin.dim, dict(thin.matrices)) == _thin_oracle(q, support)

@@ -7,8 +7,7 @@ import pytest
 from symquiv import families
 from symquiv.quiver import DimensionVector
 from symquiv.schur import (classical_invariant_dim, conjugate, lr_coefficient,
-                           lr_coefficient_lists, normalize_partition,
-                           pair_semiinvariant_dim, partitions_of,
+                           normalize_partition, pair_semiinvariant_dim, partitions_of,
                            rectangle_complement, rectangle_tensor,
                            weight_space_dim)
 from symquiv.semiinvariant import Weight
@@ -62,11 +61,24 @@ def brute_lr(lam, mu, nu):
 
 
 def test_lr_pieri():
-    assert lr_coefficient_lists((1,), (1,), (2,)) == 1
-    assert lr_coefficient_lists((1,), (1,), (1, 1)) == 1
-    assert lr_coefficient_lists((1,), (1, 1), (2, 1)) == 1
-    assert lr_coefficient_lists((2,), (), (2,)) == 1
-    assert lr_coefficient_lists((2,), (), (1, 1)) == 0
+    assert lr_coefficient((1,), (1,), (2,)) == 1
+    assert lr_coefficient((1,), (1,), (1, 1)) == 1
+    assert lr_coefficient((1,), (1, 1), (2, 1)) == 1
+    assert lr_coefficient((2,), (), (2,)) == 1
+    assert lr_coefficient((2,), (), (1, 1)) == 0
+
+
+def test_lr_accepts_lists():
+    """Lists, tuples and trailing zeros give the same coefficient."""
+    assert lr_coefficient([2, 1], [1], [3, 1]) == 1
+    rng = random.Random(5)
+    shapes = [p for n in range(0, 5) for p in partitions_of(n)]
+    for _ in range(100):
+        lam, mu = rng.choice(shapes), rng.choice(shapes)
+        for nu in partitions_of(sum(lam) + sum(mu))[:4]:
+            want = lr_coefficient(lam, mu, nu)
+            assert lr_coefficient(list(lam), list(mu), list(nu)) == want
+            assert lr_coefficient(list(lam) + [0], mu + (0, 0), list(nu)) == want
 
 
 def test_lr_against_brute_force():
@@ -77,7 +89,7 @@ def test_lr_against_brute_force():
         mu = rng.choice(shapes)
         nus = [p for p in partitions_of(sum(lam) + sum(mu))]
         nu = rng.choice(nus) if nus else ()
-        assert lr_coefficient_lists(lam, mu, nu) == brute_lr(lam, mu, nu)
+        assert lr_coefficient(lam, mu, nu) == brute_lr(lam, mu, nu)
 
 
 def test_lr_symmetry():
@@ -88,7 +100,7 @@ def test_lr_symmetry():
         mu = rng.choice(shapes)
         nus = partitions_of(sum(lam) + sum(mu))
         nu = rng.choice(nus) if nus else ()
-        assert lr_coefficient_lists(lam, mu, nu) == lr_coefficient_lists(mu, lam, nu)
+        assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu)
 
 
 def test_rectangle_tensor():
@@ -98,12 +110,12 @@ def test_rectangle_tensor():
         assert len(set(nus)) == len(nus)
         total = 0
         for nu in nus:
-            c = lr_coefficient_lists([l] * s, [m] * t, nu)
+            c = lr_coefficient([l] * s, [m] * t, nu)
             assert c == 1
             assert len(nu) <= s + t
         # completeness against the full LR expansion
         all_nu = [p for p in partitions_of(l * s + m * t) if len(p) <= s + t]
-        expected = [p for p in all_nu if lr_coefficient_lists([l] * s, [m] * t, p) > 0]
+        expected = [p for p in all_nu if lr_coefficient([l] * s, [m] * t, p) > 0]
         assert sorted(nus) == sorted(expected)
 
 
@@ -132,7 +144,7 @@ def test_rectangle_complement_matches_lr():
                 comp = rectangle_complement(lam, t, p)
                 for mu in subs:
                     expected = 1 if mu == comp else 0
-                    assert lr_coefficient_lists(lam, mu, [t] * p) == expected
+                    assert lr_coefficient(lam, mu, [t] * p) == expected
 
 
 def test_weight_space_a2_fixed_arrow():

@@ -14,7 +14,7 @@ from symquiv.quiver import DimensionVector, null_root
 from symquiv.reflection import PLUS, coxeter_dim
 from symquiv.representation import dvw_and_homext
 from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC
-from symquiv.tame import (_candidate_regular_simples, admissible_arcs,
+from symquiv.tame import (_regular_simple_roots, admissible_arcs,
                           canonical_decomposition, generic_summands,
                           pencil_templates, realize_summand,
                           tame_regular_module, tau_orbits)
@@ -75,6 +75,11 @@ def _box_scan(q):
             continue
         out.add(DimensionVector(dict(zip(verts, x))))
     return out
+
+
+def _candidate_regular_simples(q):
+    """The positive real roots below h, other than h, with zero defect."""
+    return [DimensionVector(dict(zip(q.vertices, x))) for x in _regular_simple_roots(q)]
 
 
 def _family_quivers():
