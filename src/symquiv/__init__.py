@@ -10,7 +10,7 @@ from .linalg import RationalMatrix, linalg_kit, pfaffian, determinant
 from .quiver import (Quiver, DimensionVector, euler_form, null_root, defect,
                      tits_form, validate_and_classify)
 from .symmetric import (SymmetricQuiver, SymmetricType, SYMPLECTIC, ORTHOGONAL,
-                        validate_symmetric, delta, classify_symmetric,
+                        validate_symmetric, classify_symmetric,
                         admissible_sinks, normalize_orientation)
 from .reflection import (reflect_dim, reflect_pair_dim, reflect_weight,
                          reflect_rep, reflect_pair_rep, coxeter_dim,
@@ -40,7 +40,7 @@ __all__ = [
     "Quiver", "DimensionVector", "euler_form", "null_root", "defect",
     "tits_form", "validate_and_classify",
     "SymmetricQuiver", "SymmetricType", "SYMPLECTIC", "ORTHOGONAL",
-    "validate_symmetric", "delta", "classify_symmetric", "admissible_sinks",
+    "validate_symmetric", "classify_symmetric", "admissible_sinks",
     "normalize_orientation",
     "reflect_dim", "reflect_pair_dim", "reflect_weight", "reflect_rep",
     "reflect_pair_rep", "coxeter_dim", "coxeter_rep", "dual_rep", "PLUS", "MINUS",

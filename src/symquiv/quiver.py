@@ -215,10 +215,6 @@ class DimensionVector(Frozen):
         keys = set(self._values) | set(other._values)
         return DimensionVector({k: self[k] + other[k] for k in keys})
 
-    def __sub__(self, other: "DimensionVector") -> "DimensionVector":
-        keys = set(self._values) | set(other._values)
-        return DimensionVector({k: self[k] - other[k] for k in keys})
-
     def scale(self, c: int) -> "DimensionVector":
         return DimensionVector({k: c * v for k, v in self._values.items()})
 

@@ -22,13 +22,17 @@ class Representation(Frozen):
     """Rational matrices attached to the arrows of a quiver.
 
     Immutable: ``matrices`` is a read-only view of matrices, which never
-    change.  Arrows missing from ``matrices`` get zero matrices.
+    change.  Arrows missing from ``matrices`` get zero matrices; a key that
+    names no arrow is an error.
     """
 
     __slots__ = ("quiver", "dim", "matrices")
 
     def __init__(self, quiver: Quiver, dim: DimensionVector,
                  matrices: Mapping[str, RationalMatrix]):
+        for name in matrices:
+            if name not in quiver.arrow_by_name:
+                raise ValidationError("no arrow named %r in quiver %s" % (name, quiver.name))
         mats = {}
         for a in quiver.arrows:
             m = matrices.get(a.name)

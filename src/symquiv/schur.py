@@ -9,8 +9,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AsymmetricWeight, UnsupportedQuiver, ValidationError
 from .quiver import DimensionVector
-from .semiinvariant import Weight, _chain_vertices
-from .symmetric import SYMPLECTIC, SymmetricQuiver, classify_symmetric
+from .symmetric import (SYMPLECTIC, SymmetricQuiver, Weight, _chain_vertices,
+                        classify_symmetric)
 
 Partition = Tuple[int, ...]
 
@@ -295,6 +295,8 @@ def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
         chi = Weight(chi)
     if not sq.is_symmetric_dim(beta):
         raise AsymmetricWeight("beta must be a symmetric dimension vector")
+    if any(x < 0 for x in beta.values.values()):
+        raise ValidationError("beta must have nonnegative entries")
     for x in sq.v_fixed:
         if chi[x] != 0:
             raise AsymmetricWeight("weights vanish on sigma-fixed vertices")

@@ -8,8 +8,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, permutations, product as iproduct
 from math import lcm
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
                      NotFiniteType, NotSquare, NotSkewSymmetric, NotTame,
@@ -17,65 +16,13 @@ from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
 from .linalg import (_check_skew, _det_int, _interpolate_int, _pf_int, determinant,
                      pfaffian)
 from .presentation import PathMatrix, evaluate_template, minimal_presentation
-from .quiver import DimensionVector, Frozen, Quiver, euler_form
+from .quiver import DimensionVector, Quiver, euler_form
 from .representation import (Representation, StructuredRepresentation,
                              dvw_matrix, random_structured)
-from .symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver, classify_symmetric
+from .symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver, Weight,
+                        _chain_vertices, classify_symmetric)
 from .tame import (Pencil, admissible_arcs, canonical_decomposition, pencil_templates,
                    pf_singleton_template, realize_interval)
-
-
-class Weight(Frozen):
-    """Rational-valued weight vector on the vertices (denominators 1 or 2).
-    Immutable: ``values`` is a read-only mapping."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Mapping[int, Fraction]):
-        vals = {int(k): Fraction(v) for k, v in values.items()}
-        for v in vals.values():
-            if v.denominator not in (1, 2):
-                raise ValidationError("weight entries must be integers or halves")
-        self._init(values=MappingProxyType(vals))
-
-    def __getitem__(self, x: int) -> Fraction:
-        return self.values.get(x, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, dict):
-            other = Weight(other)
-        if not isinstance(other, Weight):
-            return NotImplemented
-        keys = set(self.values) | set(other.values)
-        return all(self[k] == other[k] for k in keys)
-
-    def __hash__(self):
-        return hash(tuple(sorted((k, v) for k, v in self.values.items() if v)))
-
-    def __add__(self, other: "Weight") -> "Weight":
-        keys = set(self.values) | set(other.values)
-        return Weight({k: self[k] + other[k] for k in keys})
-
-    def scale(self, c) -> "Weight":
-        return Weight({k: Fraction(c) * v for k, v in self.values.items()})
-
-    def halve(self) -> "Weight":
-        return self.scale(Fraction(1, 2))
-
-    def pair(self, d: DimensionVector) -> Fraction:
-        return sum((v * d[k] for k, v in self.values.items()), Fraction(0))
-
-    def as_sorted_items(self):
-        return tuple(sorted(self.values.items()))
-
-    def character_key(self, sq) -> Tuple:
-        """The underlying character: weight vectors are representatives, and
-        only the exponent differences across mirror pairs are observable."""
-        return tuple((x, self[x] - self[sq.sv(x)]) for x in sq.v_plus)
-
-    def __repr__(self):
-        body = ", ".join("%d:%s" % (k, v) for k, v in sorted(self.values.items()) if v)
-        return "Weight(%s)" % body
 
 
 def weight_of_cv(sq: SymmetricQuiver, alpha: DimensionVector) -> Weight:
@@ -337,23 +284,6 @@ def _dedup_values(desc: GeneratorDescriptor,
 
 
 # -- finite type -------------------------------------------------------------------
-
-def _chain_vertices(sq: SymmetricQuiver) -> List[int]:
-    """Vertices of an equioriented symmetric A_n from source to sink."""
-    q = sq.base
-    sources = q.sources()
-    if len(sources) != 1:
-        raise NotFiniteType("the equioriented orientation has a unique source")
-    order = [sources[0]]
-    while True:
-        outs = q.arrows_out_of(order[-1])
-        if not outs:
-            break
-        order.append(outs[0].head)
-    if len(order) != len(q.vertices):
-        raise NotFiniteType("underlying graph is not a chain")
-    return order
-
 
 def chain_interval_module(sq: SymmetricQuiver, j: int, i: int) -> Representation:
     """Interval module on positions j..i (1-based) of the equioriented chain."""

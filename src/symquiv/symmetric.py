@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .errors import (NotContravariant, NotInvolutive, PartitionViolation,
-                     UnsupportedSymmetricType, NotAdmissible)
+from .errors import (NotAdmissible, NotContravariant, NotFiniteType, NotInvolutive,
+                     PartitionViolation, UnsupportedSymmetricType, ValidationError)
 from .quiver import DimensionVector, Frozen, Quiver, validate_and_classify
 
 SYMPLECTIC = "sp"
@@ -88,52 +90,49 @@ class SymmetricQuiver(Frozen):
                     "arrow %s joins x to sigma(x) and must be sigma-fixed" % a.name)
 
     def _partition(self):
+        """The positive part: the smallest admissible choice of one vertex
+        per mirror pair, or, when there is none and sigma fixes nothing, the
+        free central symmetry's choice.
+
+        A choice is admissible when no arrow that sigma moves touches both
+        sides; read it as the binary number whose bit i says "sigma(x_i) is
+        positive", for the pairs x_i < sigma(x_i) in ascending order. It is
+        built in linear time. The free vertices fall into components under
+        the free arrows between them, sigma pairs component C with sigma(C),
+        and each lies on one side. So none is admissible when some C holds
+        x and sigma(x); else each pair {C, sigma(C)} owns its bits and
+        clears the highest: the one holding the largest x < sigma(x) is
+        positive."""
         q = self.base
-        v_fixed = sorted(x for x in q.vertices if self.sv(x) == x)
-        a_fixed = sorted(a.name for a in q.arrows if self.sa(a.name) == a.name)
-        free_pairs = []
-        seen = set()
-        for x in q.vertices:
-            if x in v_fixed or x in seen:
+        sv, sa = self.sigma_v, self.sigma_a
+        v_fixed = sorted(x for x in q.vertices if sv[x] == x)
+        a_fixed = sorted(a.name for a in q.arrows if sa[a.name] == a.name)
+        near: Dict[int, List[int]] = {x: [] for x in q.vertices if sv[x] != x}
+        for a in q.arrows:
+            if a.tail in near and a.head in near and sa[a.name] != a.name:
+                near[a.tail].append(a.head)
+                near[a.head].append(a.tail)
+        positive: Dict[int, bool] = {}      # x and sigma(x) are entered together
+        crossed = False                     # some C holds x and sigma(x)
+        for x in reversed(q.vertices):
+            if x >= sv[x] or x in positive:
                 continue
-            seen.add(x)
-            seen.add(self.sv(x))
-            free_pairs.append((x, self.sv(x)))
-
-        def arrow_side(plus: set):
-            aplus, aminus = [], []
-            for a in q.arrows:
-                if a.name in a_fixed:
-                    continue
-                touches_plus = a.tail in plus or a.head in plus
-                touches_minus = (a.tail not in plus and a.tail not in v_fixed) or \
-                                (a.head not in plus and a.head not in v_fixed)
-                if touches_plus and touches_minus:
-                    return None
-                if not touches_plus and not touches_minus:
-                    return None
-                if touches_plus:
-                    aplus.append(a.name)
-                else:
-                    aminus.append(a.name)
-            mirrored = sorted(self.sa(a) for a in aplus)
-            if mirrored != sorted(aminus):
-                return None
-            return sorted(aplus), sorted(aminus)
-
-        # lexicographically smallest admissible choice of the positive side;
-        # pairs are scanned ascending, mask bit set = take the mirror partner
-        n_pairs = len(free_pairs)
-        for mask in range(1 << n_pairs):
-            plus = set()
-            for i, (x, y) in enumerate(free_pairs):
-                plus.add(x if not (mask >> i) & 1 else y)
-            sides = arrow_side(plus)
-            if sides is not None:
-                aplus, aminus = sides
-                vplus = sorted(plus)
-                vminus = sorted(self.sv(x) for x in plus)
-                return vplus, v_fixed, vminus, aplus, a_fixed, aminus
+            positive[x], positive[sv[x]] = True, False
+            todo = [x]
+            while todo:
+                for w in near[todo.pop()]:
+                    if w not in positive:
+                        positive[w], positive[sv[w]] = True, False
+                        todo.append(w)
+                    elif not positive[w]:
+                        crossed = True
+        if not crossed:
+            plus = {x for x, side in positive.items() if side}
+            aplus = sorted(a.name for a in q.arrows
+                           if (a.tail in plus or a.head in plus) and sa[a.name] != a.name)
+            return (sorted(plus), v_fixed, sorted(sv[x] for x in plus),
+                    aplus, a_fixed, sorted(sa[a] for a in aplus))
+        free_pairs = [(x, sv[x]) for x in q.vertices if x < sv[x]]
         if not v_fixed and not a_fixed:
             # free central symmetry on a cycle: crossing arrows are
             # unavoidable, so pick one arrow per orbit deterministically
@@ -178,8 +177,56 @@ def validate_symmetric(q: Quiver, sigma_v: Dict[int, int], sigma_a: Dict[str, st
     return sq, {key: list(getattr(sq, key)) for key in PARTS}
 
 
-def delta(sq: SymmetricQuiver, alpha: DimensionVector) -> DimensionVector:
-    return sq.delta(alpha)
+# -- weights ------------------------------------------------------------------
+
+class Weight(Frozen):
+    """Rational-valued weight vector on the vertices (denominators 1 or 2).
+    Immutable: ``values`` is a read-only mapping."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Mapping[int, Fraction]):
+        vals = {int(k): Fraction(v) for k, v in values.items()}
+        for v in vals.values():
+            if v.denominator not in (1, 2):
+                raise ValidationError("weight entries must be integers or halves")
+        self._init(values=MappingProxyType(vals))
+
+    def __getitem__(self, x: int) -> Fraction:
+        return self.values.get(x, Fraction(0))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, dict):
+            other = Weight(other)
+        if not isinstance(other, Weight):
+            return NotImplemented
+        keys = set(self.values) | set(other.values)
+        return all(self[k] == other[k] for k in keys)
+
+    def __hash__(self):
+        return hash(tuple(sorted((k, v) for k, v in self.values.items() if v)))
+
+    def __add__(self, other: "Weight") -> "Weight":
+        keys = set(self.values) | set(other.values)
+        return Weight({k: self[k] + other[k] for k in keys})
+
+    def scale(self, c) -> "Weight":
+        return Weight({k: Fraction(c) * v for k, v in self.values.items()})
+
+    def halve(self) -> "Weight":
+        return self.scale(Fraction(1, 2))
+
+    def as_sorted_items(self):
+        return tuple(sorted(self.values.items()))
+
+    def character_key(self, sq) -> Tuple:
+        """The underlying character: weight vectors are representatives, and
+        only the exponent differences across mirror pairs are observable."""
+        return tuple((x, self[x] - self[sq.sv(x)]) for x in sq.v_plus)
+
+    def __repr__(self):
+        body = ", ".join("%d:%s" % (k, v) for k, v in sorted(self.values.items()) if v)
+        return "Weight(%s)" % body
 
 
 # -- classification ----------------------------------------------------------
@@ -204,6 +251,23 @@ def _cycle_order(q: Quiver) -> List[Tuple[int, str, int]]:
     return order
 
 
+def _chain_vertices(sq: SymmetricQuiver) -> List[int]:
+    """Vertices of an equioriented symmetric A_n from source to sink."""
+    q = sq.base
+    sources = q.sources()
+    if len(sources) != 1:
+        raise NotFiniteType("the equioriented orientation has a unique source")
+    order = [sources[0]]
+    while True:
+        outs = q.arrows_out_of(order[-1])
+        if not outs:
+            break
+        order.append(outs[0].head)
+    if len(order) != len(q.vertices):
+        raise NotFiniteType("underlying graph is not a chain")
+    return order
+
+
 def classify_symmetric(sq: SymmetricQuiver) -> SymmetricType:
     """Finite/tame family of a symmetric quiver, with the (s,t,k,l) signature.
 
@@ -222,14 +286,13 @@ def _classify(sq: SymmetricQuiver) -> SymmetricType:
     if gt.family == "Atilde":
         order = _cycle_order(sq.base)
         dir_of = {name: d for (_, name, d) in order}
+        counts = {1: 0, -1: 0}     # the arrows sigma moves, by direction on the cycle
+        for name, d in dir_of.items():
+            if name not in sq.a_fixed:
+                counts[d] += 1
         if s == 2 and t == 0:
             f1, f2 = sq.a_fixed
-            same = dir_of[f1] == dir_of[f2]
-            counts = {1: 0, -1: 0}
-            for name, d in dir_of.items():
-                if name not in sq.a_fixed:
-                    counts[d] += 1
-            if same:
+            if dir_of[f1] == dir_of[f2]:
                 # opposite-sense arrows form the k side
                 k = counts[-dir_of[f1]]
                 l = counts[dir_of[f1]]
@@ -237,24 +300,14 @@ def _classify(sq: SymmetricQuiver) -> SymmetricType:
             kl = sorted(counts.values())
             return SymmetricType("A201", s=s, t=t, k=kl[0], l=kl[1])
         if s == 0 and t == 2:
-            counts = {1: 0, -1: 0}
-            for name, d in dir_of.items():
-                counts[d] += 1
             kl = sorted(counts.values())
             return SymmetricType("A02", s=s, t=t, k=kl[0], l=kl[1])
         if s == 1 and t == 1:
             f = sq.a_fixed[0]
-            counts = {1: 0, -1: 0}
-            for name, d in dir_of.items():
-                if name != f:
-                    counts[d] += 1
             k = counts[dir_of[f]]
             l = counts[-dir_of[f]]
             return SymmetricType("A11", s=s, t=t, k=k, l=l)
         if s == 0 and t == 0:
-            counts = {1: 0, -1: 0}
-            for name, d in dir_of.items():
-                counts[d] += 1
             if counts[1] != counts[-1]:
                 raise UnsupportedSymmetricType(
                     "central symmetry forces equally many arrows each way")
@@ -353,7 +406,6 @@ def normalize_orientation(sq: SymmetricQuiver):
     start_key = sq.base.orientation_key()
     if is_canonical_orientation(sq):
         return [], sq
-    from collections import deque
     seen = {start_key}
     queue = deque([(sq, [])])
     while queue:

@@ -542,10 +542,14 @@ def _single(rows, cols, r, c, path, coeff=1):
     return grid
 
 
+def _no_pencil(why: str) -> UnsupportedSymmetricType:
+    return UnsupportedSymmetricType("no pencil for this orientation: " + why)
+
+
 def _unique_path(q: Quiver, src: int, dst: int) -> Tuple[str, ...]:
-    paths = q.paths_from(src)[dst]
-    paths = [p for p in paths if p]
-    assert len(paths) >= 1, "no path from %r to %r" % (src, dst)
+    paths = [p for p in q.paths_from(src)[dst] if p]
+    if not paths:
+        raise _no_pencil("no path from %r to %r" % (src, dst))
     return paths[0]
 
 
@@ -559,15 +563,20 @@ def _visits(q: Quiver, path, start) -> List[int]:
 
 
 def pencil_templates(sq: SymmetricQuiver) -> Pencil:
-    """The coefficient-family pencil of the canonical tame orientation."""
+    """The coefficient-family pencil of the canonical tame orientation, and
+    of some others; UnsupportedSymmetricType for the rest."""
     st = classify_symmetric(sq)
     q = sq.base
     if st.tag in ("D10", "D01"):
         sources = q.sources()
+        if len(sources) != 2:
+            raise _no_pencil("%d sources, not 2" % len(sources))
         t1, t2 = sorted(sources)
         a = q.arrows_out_of(t1)[0]
         b = q.arrows_out_of(t2)[0]
         j0 = a.head
+        if b.head != j0:
+            raise _no_pencil("sources %r and %r do not meet at one vertex" % (t1, t2))
         cbar = _unique_path(q, j0, sq.sv(j0)) if sq.sv(j0) != j0 else ()
         sa = sq.sa(a.name)
         sb = sq.sa(b.name)
@@ -587,12 +596,10 @@ def pencil_templates(sq: SymmetricQuiver) -> Pencil:
         fixed = [q.arrow_by_name[n] for n in sq.a_fixed]
         sources = q.sources()
         sinks = q.sinks()
-        a0 = None
-        for s in sorted(sources):
-            if sq.sv(s) in sinks and q.paths_from(s)[sq.sv(s)]:
-                a0 = s
-                break
-        assert a0 is not None
+        a0 = next((s for s in sources if sq.sv(s) in sinks and q.paths_from(s)[sq.sv(s)]),
+                  None)
+        if a0 is None:
+            raise _no_pencil("no source reaches its mirror")
         abar = _unique_path(q, a0, sq.sv(a0))
         on_path = set(abar)
         f_b = next(f for f in fixed if f.name not in on_path)
@@ -608,11 +615,13 @@ def pencil_templates(sq: SymmetricQuiver) -> Pencil:
         return Pencil(q, rows, cols, phi, psi, const)
     # remaining A-families: one source, one sink, two boundary paths
     sources = q.sources()
-    assert len(sources) == 1, "canonical orientation expected"
+    if len(sources) != 1:
+        raise _no_pencil("%d sources, not 1" % len(sources))
     s = sources[0]
     t = sq.sv(s)
     paths = [p for p in q.paths_from(s)[t] if p]
-    assert len(paths) == 2
+    if len(paths) != 2:
+        raise _no_pencil("%d paths from %r to %r, not 2" % (len(paths), s, t))
     p1, p2 = sorted(paths)
     rows = [t]
     cols = [s]
@@ -621,12 +630,11 @@ def pencil_templates(sq: SymmetricQuiver) -> Pencil:
         for p in (p1, p2):
             if any(v in sq.v_fixed for v in _visits(q, p, s)):
                 through_fixed_vertex = p
-        assert through_fixed_vertex is not None
+        if through_fixed_vertex is None:
+            raise _no_pencil("no path through the fixed vertex")
         pa = through_fixed_vertex
         pb = p1 if pa == p2 else p2
-    elif st.tag in ("A201", "A02"):
-        pa, pb = p1, p2
-    elif st.tag == "A00":
+    elif st.tag in ("A201", "A02", "A00"):
         pa, pb = p1, p2
     else:
         raise UnsupportedSymmetricType("no pencil for %s" % st)
@@ -655,25 +663,27 @@ def _window_matches(sq, order, pos, length, target: DimensionVector) -> bool:
 
 def _find_tiling(sq, poly: Polygon):
     """Offsets realizing the polygon's orbit as consecutive windows on the
-    universal cover of the cycle."""
+    universal cover of the cycle: the elements rho, rho + eps, ... fill the
+    windows that follow each other from position s of the cycle order.
+
+    Each element is thin on one arc, read off where the arc starts, and the
+    arcs tile the cycle. s is the smallest start, rho its element, and eps
+    is +1 when the arc of rho + 1 starts where the arc of rho ends."""
     order = _cycle_order(sq.base)
     m = len(order)
     r = poly.rank
     lens = [sum(e.values.values()) for e in poly.dims]
-    for s in range(m):
-        for rho in range(r):
-            for eps in (1, -1):
-                pos = s
-                ok = True
-                for t in range(r):
-                    idx = (rho + eps * t) % r
-                    if not _window_matches(sq, order, pos, lens[idx], poly.dims[idx]):
-                        ok = False
-                        break
-                    pos += lens[idx]
-                if ok:
-                    return order, s, rho, eps
-    raise IndexOutOfOrbit("no string tiling found for polygon %s" % poly.name)
+    starts = []
+    for e, length in zip(poly.dims, lens):
+        inside = [e[v] > 0 for v, _, _ in order]
+        pos = next((z for z in range(m) if inside[z] and not inside[z - 1]), None)
+        if pos is None or not _window_matches(sq, order, pos, length, e):
+            raise IndexOutOfOrbit("no string tiling found for polygon %s" % poly.name)
+        starts.append(pos)
+    s = min(starts)
+    rho = starts.index(s)
+    eps = 1 if starts[(rho + 1) % r] == (s + lens[rho]) % m else -1
+    return order, s, rho, eps
 
 
 def _string_module(sq, order, a: int, b: int) -> Representation:

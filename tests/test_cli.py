@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -16,6 +17,7 @@ from symquiv.cli import main
 from symquiv.errors import NotSquare
 from symquiv.quiver import DimensionVector
 from symquiv.representation import random_structured
+from symquiv.symmetric import admissible_sinks, reflect_pair_quiver
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -196,6 +198,61 @@ def test_oracle_dim_rejects_a_chain_with_two_sources(tmp_path, capsys):
                         "--flavor", "sp", "--weight", "1,0,0,-1")
     assert code == 3 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_dim_rejects_negative_dimension(capsys):
+    """As generators does; euler and reflect take lattice vectors instead."""
+    code, out = run_cli("oracle-dim", "-q", str(FIX / "a4.qv"), "--dim=-1,2,2,-1",
+                        "--flavor", "sp", "--weight", "1,0,0,-1")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: beta must have nonnegative entries\n"
+
+
+@pytest.mark.parametrize("fixture, at, dim", [("a201_22.qv", "4", "2,2,2,2,2,2"),
+                                              ("d10_3.qv", "4", "2,2,4,2,2,4")])
+def test_generators_on_a_reflected_quiver_without_pencil_exits_3(tmp_path, capsys,
+                                                                  fixture, at, dim):
+    """No traceback (a201) and no false parse error (d10): the orientation
+    written by reflect is unsupported."""
+    code, out = run_cli("reflect", "-q", str(FIX / fixture), "--at", at)
+    assert code == 0
+    qfile = tmp_path / "r.qv"
+    qfile.write_text(out)
+    code, out = run_cli("generators", "-q", str(qfile), "--dim", dim, "--flavor", "sp")
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: no pencil for this orientation") and err.count("\n") == 1
+
+
+def test_subcommands_on_randomly_reflected_fixtures_exit_cleanly(tmp_path, capsys):
+    """Every subcommand that reads a quiver, on each fixture moved by a seeded
+    admissible reflection word, exits 0, 2, 3 or 4: no traceback."""
+    rng = random.Random(3)
+    codes = set()
+    for path in sorted(FIX.glob("*.qv")):
+        sq = sqio.parse_quiver(path.read_text())
+        for _ in range(rng.randint(1, 3)):
+            sinks = admissible_sinks(sq)
+            if sinks:
+                sq = reflect_pair_quiver(sq, rng.choice(sinks))
+        qfile = tmp_path / path.name
+        qfile.write_text(sqio.serialize_quiver(sq))
+        q = str(qfile)
+        dim = ",".join("2" for _ in sq.base.vertices)
+        for argv in (("classify", "-q", q),
+                     ("euler", "-q", q, "--alpha", dim, "--beta", dim),
+                     ("reflect", "-q", q, "--at", str(sq.base.vertices[-1]), "--dim", dim),
+                     ("decompose", "-q", q, "--dim", dim, "--mode", "sp"),
+                     ("arcs", "-q", q, "--dim", dim),
+                     ("generators", "-q", q, "--dim", dim, "--flavor", "sp"),
+                     ("generators", "-q", q, "--dim", dim, "--flavor", "o"),
+                     ("oracle-dim", "-q", q, "--dim", dim, "--flavor", "o",
+                      "--weight", ",".join("0" for _ in sq.base.vertices))):
+            code, _ = run_cli(*argv)
+            assert code in (0, 2, 3, 4), (path.name, argv[0])
+            codes.add(code)
+    assert {0, 3} <= codes
+    capsys.readouterr()
 
 
 def test_oracle_dim_rejects_weight_on_fixed_vertex():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from symquiv import families
+from symquiv.errors import ValidationError
 from symquiv.linalg import RationalMatrix, determinant
 from symquiv.quiver import DimensionVector, Quiver, euler_form
 from symquiv.representation import (GroupElement, Representation, act,
@@ -232,3 +233,9 @@ def test_thin_constructor_builds_every_interval_module():
     support = [1, 3, 6]
     thin = Representation.thin(q, support)
     assert (thin.dim, dict(thin.matrices)) == _thin_oracle(q, support)
+
+
+def test_matrix_for_an_unknown_arrow_is_rejected():
+    q = families.symmetric_a(2).base
+    with pytest.raises(ValidationError, match="b1"):
+        Representation(q, DimensionVector({1: 1, 2: 1}), {"b1": RationalMatrix.identity(1)})

@@ -9,12 +9,15 @@ import pytest
 from symquiv import families
 from symquiv import io as sqio
 from symquiv.cli import main
-from symquiv.errors import NotRegular, NotSymmetric
+from symquiv.errors import NotRegular, NotSymmetric, UnsupportedSymmetricType
 from symquiv.quiver import DimensionVector, null_root
 from symquiv.reflection import PLUS, coxeter_dim
 from symquiv.representation import dvw_and_homext
-from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC
-from symquiv.tame import (_regular_simple_roots, admissible_arcs,
+from symquiv.semiinvariant import generators_tame
+from symquiv.symmetric import (ORTHOGONAL, SYMPLECTIC, _cycle_order,
+                               admissible_sinks, reflect_pair_quiver)
+from symquiv.tame import (_find_tiling, _regular_simple_roots, _window_matches,
+                          admissible_arcs,
                           canonical_decomposition, generic_summands,
                           pencil_templates, realize_summand,
                           tame_regular_module, tau_orbits)
@@ -197,6 +200,43 @@ def test_tuple_orbit_walk_matches_dimension_vector_walk(make):
     for sq in quivers:
         got = [(p.name, p.dims, p.sigma, p.partner) for p in tau_orbits(sq).polygons]
         assert got == _polygons_on_dimension_vectors(sq), sq.base.name
+
+
+def _search_tiling(sq, poly):
+    """The (order, s, rho, eps) of the first start s, element rho and
+    direction eps, in that order of loops, whose windows tile the cycle."""
+    order = _cycle_order(sq.base)
+    r = poly.rank
+    lens = [sum(e.values.values()) for e in poly.dims]
+    for s in range(len(order)):
+        for rho in range(r):
+            for eps in (1, -1):
+                pos = s
+                for t in range(r):
+                    idx = (rho + eps * t) % r
+                    if not _window_matches(sq, order, pos, lens[idx], poly.dims[idx]):
+                        break
+                    pos += lens[idx]
+                else:
+                    return order, s, rho, eps
+    return None
+
+
+def test_string_tiling_read_off_the_arcs_matches_the_search():
+    """On every polygon of the A family quivers and of one admissible
+    reflection of each, the tiling read off the arcs is the first one the
+    search over (s, rho, eps) finds."""
+    rng = random.Random(23)
+    checked = 0
+    for sq in _family_quivers():
+        if not sq.base.name.startswith("A"):
+            continue
+        sinks = admissible_sinks(sq)
+        for cur in [sq] + ([reflect_pair_quiver(sq, rng.choice(sinks))] if sinks else []):
+            for poly in tau_orbits(cur).polygons:
+                assert _find_tiling(cur, poly) == _search_tiling(cur, poly)
+                checked += 1
+    assert checked > 40
 
 
 def test_kronecker_has_no_polygons():
@@ -387,3 +427,29 @@ def test_pencil_cokernels_have_null_root_dimension():
         for phi in (1, 2, 5):
             mod = module_from_presentation(pen.combine(Fraction(phi), Fraction(1)))
             assert mod.dim == h
+
+
+@pytest.mark.parametrize("make, at", [
+    (lambda: families.a201(2, 2), 4), (lambda: families.a02(2, 4), 5),
+    (lambda: families.a00(4), 5), (lambda: families.d10(3), 4),
+    (lambda: families.d01(4), 5), (lambda: families.d01(4), 6)],
+    ids=["a201(2,2)@4", "a02(2,4)@5", "a00(4)@5", "d10(3)@4", "d01(4)@5", "d01(4)@6"])
+def test_no_pencil_for_a_reflected_orientation_is_unsupported(make, at):
+    """An orientation whose pencil is not built is unsupported (exit 3), not
+    an AssertionError or a false non-composable path."""
+    sq = reflect_pair_quiver(make(), at)
+    with pytest.raises(UnsupportedSymmetricType):
+        pencil_templates(sq)
+    with pytest.raises(UnsupportedSymmetricType):
+        generators_tame(sq, null_root(sq.base).scale(2), SYMPLECTIC)
+
+
+@pytest.mark.parametrize("make, at, counts", [
+    (lambda: families.a02(2, 2), 4, (6, 7)), (lambda: families.a00(2), 3, (5, 5)),
+    (lambda: families.d01(3), 4, (8, 9)), (lambda: families.d01(3), 5, (8, 9))],
+    ids=["a02(2,2)@4", "a00(2)@3", "d01(3)@4", "d01(3)@5"])
+def test_reflected_orientations_with_a_pencil_keep_their_generators(make, at, counts):
+    sq = reflect_pair_quiver(make(), at)
+    d = null_root(sq.base).scale(2)
+    assert tuple(len(generators_tame(sq, d, flavor))
+                 for flavor in (SYMPLECTIC, ORTHOGONAL)) == counts
