@@ -5,7 +5,7 @@ independent weight-space dimension oracle for supported quivers."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AsymmetricWeight, UnsupportedQuiver, ValidationError
 from .quiver import DimensionVector
@@ -243,18 +243,10 @@ def _subrectangle_partitions(t: int, p: int) -> List[Partition]:
     return out
 
 
-def _row_class(flavor: str) -> str:
+def _fixed_arrow_rule(flavor: str, lam: Partition) -> bool:
     # polynomial functions on the fixed-arrow space decompose over even rows
     # in the symplectic case and even columns in the orthogonal case
-    return "ER" if flavor == SYMPLECTIC else "EC"
-
-
-def _in_class(lam: Partition, cls: str) -> bool:
-    if cls == "ER":
-        return has_even_rows(lam)
-    if cls == "EC":
-        return has_even_columns(lam)
-    return True
+    return has_even_rows(lam) if flavor == SYMPLECTIC else has_even_columns(lam)
 
 
 def _fixed_vertex_rule(flavor: str, lam: Partition, n: int) -> bool:
@@ -282,14 +274,75 @@ def _chain_dim(betas: List[int], ms: List[Fraction], end_rule) -> int:
     return 1 if end_rule(normalize_partition(tuple(lam))) else 0
 
 
+def _cycle_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
+               ms: Dict[int, Fraction]) -> int:
+    """Weight-space dimension on a cycle, read off its arrows.
+
+    By Cauchy's formula each arrow of Q1+ and each sigma-fixed arrow carries
+    one partition. With V_sigma(x) = V_x^*, each plus vertex x then carries
+    two Schur functors, and det^m(x) occurs at most once in their product:
+    the partitions determine each other, by the complement in the m(x) x
+    beta(x) box when both are covariant or both dual, else by a shift of
+    m(x). So the first partition at a source or sink fixes all others, and
+    the count is of those that pass the rules at the fixed arrows and fixed
+    vertices, or that close the cycle. A plus vertex with other than two
+    functors (a D-tilde junction or leaf) raises ``UnsupportedQuiver``.
+    """
+    at: Dict[int, Dict[str, int]] = {x: {} for x in sq.v_plus}  # +1 covariant, -1 dual
+    ends: Dict[str, List[int]] = {}        # the plus or fixed vertices of each arrow
+    for name in sq.a_plus + sq.a_fixed:
+        arr = sq.base.arrow_by_name[name]
+        ends[name] = []
+        # a fixed arrow meets x and sigma(x) in one functor
+        sides = [(arr.tail, 1)] + ([] if name in sq.a_fixed else [(arr.head, -1)])
+        for v, var in sides:
+            if v not in at and sq.sv(v) != v:
+                v, var = sq.sv(v), -var
+            ends[name].append(v)
+            if v in at:
+                at[v][name] = var
+    if any(len(fs) != 2 for fs in at.values()):
+        raise UnsupportedQuiver("weight-space oracle does not cover %s"
+                                % classify_symmetric(sq))
+    if any(m.denominator != 1 for m in ms.values()):
+        return 0
+    cyclic = not sq.a_fixed and not sq.v_fixed
+    # the plus end of a source or a sink, which an acyclic cycle has
+    x0 = next(x for x in sq.v_plus if len(set(at[x].values())) == 1)
+    (a0, var0), (b0, _) = at[x0].items()
+    t = var0 * int(ms[x0])
+
+    def walk(x: int, a: str, lam: Optional[Partition], home: Partition) -> bool:
+        """Carry lam on the arrow a away from x until a rule decides."""
+        while lam is not None:
+            if a in sq.a_fixed:
+                return _fixed_arrow_rule(flavor, lam)
+            y = next(z for z in ends[a] if z != x)
+            if y not in at:
+                return _fixed_vertex_rule(flavor, lam, beta[y])
+            if y == x0:
+                return lam == home
+            (c, vc), = [(c, vc) for c, vc in at[y].items() if c != a]
+            m = at[y][a] * int(ms[y])
+            lam = rectangle_complement(lam, m, beta[y]) if at[y][a] == vc \
+                else shifted_by_constant(lam, -m, beta[y])
+            x, a = y, c
+        return False
+
+    return sum(1 for lam in _subrectangle_partitions(t, beta[x0])
+               if walk(x0, b0, rectangle_complement(lam, t, beta[x0]), lam)
+               and (cyclic or walk(x0, a0, lam, lam)))
+
+
 def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
                      chi) -> int:
     """Dimension of the semi-invariant weight space, computed from partition
     combinatorics alone.
 
-    Supported quivers: equioriented symmetric A_n and the smallest tame
-    cases in each A-family.  ``chi`` is a Weight or a vertex dict and must
-    vanish on sigma-fixed vertices.
+    Supported quivers: the equioriented symmetric A_n, and every A-tilde
+    family at any size, with any vertex ids and in any orientation; the
+    D-tilde families raise ``UnsupportedQuiver``.  ``chi`` is a Weight or a
+    vertex dict and must vanish on sigma-fixed vertices.
     """
     if not isinstance(chi, Weight):
         chi = Weight(chi)
@@ -300,109 +353,18 @@ def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
     for x in sq.v_fixed:
         if chi[x] != 0:
             raise AsymmetricWeight("weights vanish on sigma-fixed vertices")
-    st = classify_symmetric(sq)
 
     def m_of(x: int) -> Fraction:
         return chi[x] - chi[sq.sv(x)]
 
-    if st.tag == "FiniteA":
-        order = _chain_vertices(sq)
-        n = len(order)
-        half = order[:n // 2]
-        betas = [beta[x] for x in half]
-        ms = [m_of(x) for x in half]
-        if n % 2 == 0:
-            cls = _row_class(flavor)
-            return _chain_dim(betas, ms, lambda lam: _in_class(lam, cls))
-        mid = order[n // 2]
-        if flavor == SYMPLECTIC:
-            end = lambda lam: classical_invariant_dim(lam, "Sp", beta[mid]) == 1
-        else:
-            end = lambda lam: classical_invariant_dim(lam, "SO", beta[mid]) == 1
-        return _chain_dim(betas, ms, end)
-
-    cls = _row_class(flavor)
-    if st.tag == "A201" and st.k == 0 and st.l == 0:
-        v = sq.v_plus[0]
-        p = beta[v]
-        m1 = m_of(v)
-        if m1.denominator != 1 or m1 < 0:
-            return 0
-        t = int(m1)
-        count = 0
-        for lam in _subrectangle_partitions(t, p):
-            comp = rectangle_complement(lam, t, p)
-            if comp is None:
-                continue
-            if _in_class(lam, cls) and _in_class(comp, cls):
-                count += 1
-        return count
-    if st.tag == "A202" and (st.k, st.l) == (2, 0):
-        a0 = 1
-        y = [x for x in sq.v_plus if x != a0][0]
-        p = beta[a0]
-        m1, m2 = m_of(a0), m_of(y)
-        if m1.denominator != 1 or m2.denominator != 1:
-            return 0
-        t1, t2 = int(m1), -int(m2)
-        if t1 < 0 or t2 < 0:
-            return 0
-        count = 0
-        for lc in _subrectangle_partitions(min(t1, t2), p):
-            la = rectangle_complement(lc, t1, p)
-            lb = rectangle_complement(lc, t2, p)
-            if la is None or lb is None:
-                continue
-            if _in_class(la, cls) and _in_class(lb, cls):
-                count += 1
-        return count
-    if st.tag == "A02" and (st.k, st.l) == (2, 2):
-        a0 = sq.v_plus[0]
-        top, bottom = sq.v_fixed
-        p = beta[a0]
-        m1 = m_of(a0)
-        if m1.denominator != 1 or m1 < 0:
-            return 0
-        t = int(m1)
-        count = 0
-        for la in _subrectangle_partitions(t, p):
-            lb = rectangle_complement(la, t, p)
-            if lb is None:
-                continue
-            if _fixed_vertex_rule(flavor, la, beta[top]) and \
-                    _fixed_vertex_rule(flavor, lb, beta[bottom]):
-                count += 1
-        return count
-    if st.tag == "A11" and (st.k, st.l) == (0, 2):
-        a0 = sq.v_plus[0]
-        top = sq.v_fixed[0]
-        p = beta[a0]
-        m1 = m_of(a0)
-        if m1.denominator != 1 or m1 < 0:
-            return 0
-        t = int(m1)
-        count = 0
-        for la in _subrectangle_partitions(t, p):
-            lb = rectangle_complement(la, t, p)
-            if lb is None:
-                continue
-            if _in_class(lb, cls) and _fixed_vertex_rule(flavor, la, beta[top]):
-                count += 1
-        return count
-    if st.tag == "A00" and st.k == 2:
-        v1 = 1
-        v2 = [x for x in sq.v_plus if x != v1][0]
-        p = beta[v1]
-        m1, m2 = m_of(v1), m_of(v2)
-        if m1.denominator != 1 or m2.denominator != 1 or m1 < 0:
-            return 0
-        t = int(m1)
-        count = 0
-        for l1 in _subrectangle_partitions(t, p):
-            l2 = rectangle_complement(l1, t, p)
-            if l2 is None:
-                continue
-            if shifted_by_constant(l1, int(m2), p) == l2:
-                count += 1
-        return count
-    raise UnsupportedQuiver("weight-space oracle does not cover %s" % st)
+    if classify_symmetric(sq).tag != "FiniteA":
+        return _cycle_dim(sq, flavor, beta, {x: m_of(x) for x in sq.v_plus})
+    order = _chain_vertices(sq)
+    n = len(order)
+    half = order[:n // 2]
+    betas = [beta[x] for x in half]
+    ms = [m_of(x) for x in half]
+    if n % 2 == 0:
+        return _chain_dim(betas, ms, lambda lam: _fixed_arrow_rule(flavor, lam))
+    mid = order[n // 2]
+    return _chain_dim(betas, ms, lambda lam: _fixed_vertex_rule(flavor, lam, beta[mid]))

@@ -181,10 +181,48 @@ def test_parse_error_exit_code(tmp_path):
 
 
 def test_oracle_dim_rejects_unsupported():
-    code, _ = run_cli("oracle-dim", "-q", str(FIX / "a201_22.qv"),
-                      "--dim", "2,2,2,2,2,2", "--flavor", "sp",
+    code, _ = run_cli("oracle-dim", "-q", str(FIX / "d10_3.qv"),
+                      "--dim", "2,2,4,2,2,4", "--flavor", "sp",
                       "--weight", "1,0,0,-1,0,0")
     assert code == 3
+
+
+def test_oracle_dim_on_a_larger_a_tilde_quiver():
+    """As many as the pencil generators of that weight."""
+    code, out = run_cli("oracle-dim", "-q", str(FIX / "a201_22.qv"),
+                        "--dim", "2,2,2,2,2,2", "--flavor", "sp",
+                        "--weight", "1,0,0,-1,0,0")
+    assert (code, out) == (0, "3\n")
+
+
+A202_2_0 = ("quiver A202_2_0\nvertex 1 2 3 4\narrow a 1 3\narrow b 4 2\narrow u1 1 2\n"
+            "arrow u1~ 4 3\nsigma v 1 3\nsigma v 2 4\nsigma a a a\nsigma a b b\n"
+            "sigma a u1 u1~\n")
+
+
+@pytest.mark.parametrize("text, relabelled, dim, weight, relabelled_weight", [
+    ((FIX / "a00_2.qv").read_text(),
+     "quiver A00_2\nvertex 11 12 13 14\narrow v1 11 12\narrow v1~ 14 13\n"
+     "arrow v2 12 13\narrow v2~ 11 14\nsigma v 11 13\nsigma v 12 14\n"
+     "sigma a v1 v1~\nsigma a v2 v2~\n",
+     "1,1,1,1", "1,0,-1,0", "1,0,-1,0"),
+    (A202_2_0,
+     "quiver A202_2_0\nvertex 1 2 3 4\narrow a 2 3\narrow b 4 1\narrow u1 2 1\n"
+     "arrow u1~ 4 3\nsigma v 1 4\nsigma v 2 3\nsigma a a a\nsigma a b b\n"
+     "sigma a u1 u1~\n",
+     "2,2,2,2", "1,-1,-1,1", "-1,1,-1,1"),
+], ids=["a00_2 ids shifted by 10", "a202(2,0) ids 1 and 2 swapped"])
+def test_oracle_dim_ignores_vertex_ids(tmp_path, text, relabelled, dim, weight,
+                                       relabelled_weight):
+    answers = []
+    for name, body, wt in (("canonical", text, weight),
+                           ("relabelled", relabelled, relabelled_weight)):
+        qfile = tmp_path / (name + ".qv")
+        qfile.write_text(body)
+        answers.append(run_cli("oracle-dim", "-q", str(qfile), "--dim", dim,
+                               "--flavor", "sp", "--weight=" + wt))
+    assert answers[0][0] == 0 and answers[0][1].strip().isdigit()
+    assert answers[1] == answers[0]
 
 
 def test_oracle_dim_rejects_a_chain_with_two_sources(tmp_path, capsys):

@@ -5,13 +5,18 @@ from fractions import Fraction
 import pytest
 
 from symquiv import families
-from symquiv.quiver import DimensionVector
-from symquiv.schur import (classical_invariant_dim, conjugate, lr_coefficient,
-                           normalize_partition, pair_semiinvariant_dim, partitions_of,
-                           rectangle_complement, rectangle_tensor,
-                           weight_space_dim)
-from symquiv.semiinvariant import Weight
-from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC
+from symquiv.errors import UnsupportedQuiver
+from symquiv.linalg import RationalMatrix, rank
+from symquiv.quiver import DimensionVector, Quiver, null_root
+from symquiv.representation import random_structured
+from symquiv.schur import (_fixed_vertex_rule, _subrectangle_partitions,
+                           classical_invariant_dim, conjugate, has_even_columns,
+                           has_even_rows, lr_coefficient, normalize_partition,
+                           pair_semiinvariant_dim, partitions_of, rectangle_complement,
+                           rectangle_tensor, shifted_by_constant, weight_space_dim)
+from symquiv.semiinvariant import Weight, generators_tame
+from symquiv.symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver, admissible_sinks,
+                               classify_symmetric, reflect_pair_quiver)
 
 
 def brute_lr(lam, mu, nu):
@@ -145,6 +150,20 @@ def test_rectangle_complement_matches_lr():
                 for mu in subs:
                     expected = 1 if mu == comp else 0
                     assert lr_coefficient(lam, mu, [t] * p) == expected
+    # the shift rule: S_lam V^* (x) S_nu V holds det^m once when nu = lam + m,
+    # read through S_lam V^* = S_lamc V (x) det^-w, lamc the complement of
+    # lam in the w x p box
+    w = 3
+    for p in range(1, 4):
+        box = [q for n in range(0, w * p + 1) for q in partitions_of(n, w, p)]
+        nus = [q for n in range(0, 2 * w * p + 1) for q in partitions_of(n, 2 * w, p)]
+        for lam in box:
+            lamc = rectangle_complement(lam, w, p)
+            for m in range(-w, w + 1):
+                shifted = shifted_by_constant(lam, m, p)
+                for nu in nus:
+                    expected = 1 if nu == shifted else 0
+                    assert lr_coefficient(lamc, nu, [m + w] * p) == expected, (lam, m, nu)
 
 
 def test_weight_space_a2_fixed_arrow():
@@ -235,3 +254,252 @@ def test_oracle_matches_generated_stratum_on_small_tame():
         assert rows, (sq.base.name, flavor)
         got = rank(RationalMatrix.from_rows(rows))
         assert got == target, (sq.base.name, flavor, p, got, target)
+
+
+# -- the walk against the five A-tilde branches it replaced ---------------------
+#
+# Before the walk, weight_space_dim covered the A-tilde families with one
+# hand-written branch per family at its smallest size. Those branches are
+# kept verbatim below as the oracle on the inputs they answer correctly:
+# canonical vertex ids and multiples of the null root.
+
+def _row_class(flavor: str) -> str:
+    # polynomial functions on the fixed-arrow space decompose over even rows
+    # in the symplectic case and even columns in the orthogonal case
+    return "ER" if flavor == SYMPLECTIC else "EC"
+
+
+def _in_class(lam, cls: str) -> bool:
+    if cls == "ER":
+        return has_even_rows(lam)
+    if cls == "EC":
+        return has_even_columns(lam)
+    return True
+
+
+def old_branches(sq, flavor, beta, chi) -> int:
+    st = classify_symmetric(sq)
+
+    def m_of(x: int) -> Fraction:
+        return chi[x] - chi[sq.sv(x)]
+
+    cls = _row_class(flavor)
+    if st.tag == "A201" and st.k == 0 and st.l == 0:
+        v = sq.v_plus[0]
+        p = beta[v]
+        m1 = m_of(v)
+        if m1.denominator != 1 or m1 < 0:
+            return 0
+        t = int(m1)
+        count = 0
+        for lam in _subrectangle_partitions(t, p):
+            comp = rectangle_complement(lam, t, p)
+            if comp is None:
+                continue
+            if _in_class(lam, cls) and _in_class(comp, cls):
+                count += 1
+        return count
+    if st.tag == "A202" and (st.k, st.l) == (2, 0):
+        a0 = 1
+        y = [x for x in sq.v_plus if x != a0][0]
+        p = beta[a0]
+        m1, m2 = m_of(a0), m_of(y)
+        if m1.denominator != 1 or m2.denominator != 1:
+            return 0
+        t1, t2 = int(m1), -int(m2)
+        if t1 < 0 or t2 < 0:
+            return 0
+        count = 0
+        for lc in _subrectangle_partitions(min(t1, t2), p):
+            la = rectangle_complement(lc, t1, p)
+            lb = rectangle_complement(lc, t2, p)
+            if la is None or lb is None:
+                continue
+            if _in_class(la, cls) and _in_class(lb, cls):
+                count += 1
+        return count
+    if st.tag == "A02" and (st.k, st.l) == (2, 2):
+        a0 = sq.v_plus[0]
+        top, bottom = sq.v_fixed
+        p = beta[a0]
+        m1 = m_of(a0)
+        if m1.denominator != 1 or m1 < 0:
+            return 0
+        t = int(m1)
+        count = 0
+        for la in _subrectangle_partitions(t, p):
+            lb = rectangle_complement(la, t, p)
+            if lb is None:
+                continue
+            if _fixed_vertex_rule(flavor, la, beta[top]) and \
+                    _fixed_vertex_rule(flavor, lb, beta[bottom]):
+                count += 1
+        return count
+    if st.tag == "A11" and (st.k, st.l) == (0, 2):
+        a0 = sq.v_plus[0]
+        top = sq.v_fixed[0]
+        p = beta[a0]
+        m1 = m_of(a0)
+        if m1.denominator != 1 or m1 < 0:
+            return 0
+        t = int(m1)
+        count = 0
+        for la in _subrectangle_partitions(t, p):
+            lb = rectangle_complement(la, t, p)
+            if lb is None:
+                continue
+            if _in_class(lb, cls) and _fixed_vertex_rule(flavor, la, beta[top]):
+                count += 1
+        return count
+    if st.tag == "A00" and st.k == 2:
+        v1 = 1
+        v2 = [x for x in sq.v_plus if x != v1][0]
+        p = beta[v1]
+        m1, m2 = m_of(v1), m_of(v2)
+        if m1.denominator != 1 or m2.denominator != 1 or m1 < 0:
+            return 0
+        t = int(m1)
+        count = 0
+        for l1 in _subrectangle_partitions(t, p):
+            l2 = rectangle_complement(l1, t, p)
+            if l2 is None:
+                continue
+            if shifted_by_constant(l1, int(m2), p) == l2:
+                count += 1
+        return count
+    raise UnsupportedQuiver("weight-space oracle does not cover %s" % st)
+
+
+OLD_SHAPES = [families.a201(0, 0), families.a202(2, 0), families.a02(2, 2),
+              families.a11(0, 2), families.a00(2)]
+
+WIDER_SHAPES = [families.a201(2, 2), families.a201(4, 2), families.a202(2, 2),
+                families.a202(4, 2), families.a02(2, 4), families.a02(4, 2),
+                families.a11(2, 2), families.a11(0, 4), families.a11(2, 4),
+                families.a00(2), families.a00(4)]
+
+
+def _random_weight(rng, sq):
+    """Halves in [-3, 3] on the plus and minus vertices, 0 on fixed ones."""
+    return Weight({x: Fraction(rng.randint(-6, 6), 2)
+                   for x in sq.base.vertices if sq.sv(x) != x})
+
+
+def test_cycle_walk_matches_the_old_branches():
+    rng = random.Random(18)
+    for _ in range(1500):
+        sq = rng.choice(OLD_SHAPES)
+        beta = null_root(sq.base).scale(rng.randint(0, 4))
+        chi = _random_weight(rng, sq)
+        flavor = rng.choice((SYMPLECTIC, ORTHOGONAL))
+        assert weight_space_dim(sq, flavor, beta, chi) == old_branches(sq, flavor, beta, chi), \
+            (sq.base.name, beta, chi, flavor)
+
+
+def test_cycle_walk_off_the_null_root_line():
+    """The old branches read beta at one plus vertex for both; counted by
+    hand, each representation space below holds no semi-invariant of the
+    weight."""
+    a00 = families.a00(2)
+    beta = DimensionVector({1: 0, 2: 1, 3: 0, 4: 1})
+    chi = Weight({2: -3})
+    assert old_branches(a00, SYMPLECTIC, beta, chi) == 1
+    assert weight_space_dim(a00, SYMPLECTIC, beta, chi) == 0
+    a202 = families.a202(2, 0)
+    beta = DimensionVector({1: 1, 2: 3, 3: 1, 4: 3})
+    chi = Weight({1: 3, 2: -1, 3: -2, 4: 2})
+    assert old_branches(a202, SYMPLECTIC, beta, chi) == 2
+    assert weight_space_dim(a202, SYMPLECTIC, beta, chi) == 0
+
+
+def _relabel(sq, ids):
+    """The same symmetric quiver with vertex x renamed ids[x]."""
+    q = sq.base
+    base = Quiver(sorted(ids.values()), [(a.name, ids[a.tail], ids[a.head]) for a in q.arrows],
+                  name=q.name)
+    return SymmetricQuiver(base, {ids[x]: ids[sq.sv(x)] for x in q.vertices}, sq.sigma_a)
+
+
+def _random_symmetric_dim(rng, sq):
+    vals = {}
+    for x in sq.base.vertices:
+        if x not in vals:
+            vals[x] = vals[sq.sv(x)] = rng.randint(0, 3)
+    return DimensionVector(vals)
+
+
+def test_cycle_walk_ignores_vertex_ids():
+    rng = random.Random(19)
+    for _ in range(240):
+        sq = rng.choice(OLD_SHAPES + WIDER_SHAPES)
+        verts = sq.base.vertices
+        images = rng.sample(range(1, 3 * len(verts)), len(verts))
+        ids = dict(zip(verts, images))
+        other = _relabel(sq, ids)
+        beta = _random_symmetric_dim(rng, sq)
+        chi = _random_weight(rng, sq)
+        flavor = rng.choice((SYMPLECTIC, ORTHOGONAL))
+        want = weight_space_dim(sq, flavor, beta, chi)
+        got = weight_space_dim(other, flavor,
+                               DimensionVector({ids[x]: beta[x] for x in verts}),
+                               Weight({ids[x]: chi[x] for x in verts}))
+        assert got == want, (sq.base.name, ids, beta, chi, flavor)
+
+
+def test_cycle_walk_answers_in_every_reflected_orientation():
+    """Seeded admissible reflection words move every A-tilde family through
+    its orientations; the walk answers each, and the D families still raise."""
+    rng = random.Random(20)
+    for sq in WIDER_SHAPES + [families.d10(3), families.d01(4)]:
+        for _ in range(8):
+            cur = sq
+            for _ in range(rng.randint(1, 4)):
+                sinks = admissible_sinks(cur)
+                if sinks:
+                    cur = reflect_pair_quiver(cur, rng.choice(sinks))
+            beta = _random_symmetric_dim(rng, cur)
+            chi = _random_weight(rng, cur)
+            if sq.base.name.startswith("D"):
+                with pytest.raises(UnsupportedQuiver):
+                    weight_space_dim(cur, SYMPLECTIC, beta, chi)
+                continue
+            for flavor in (SYMPLECTIC, ORTHOGONAL):
+                assert weight_space_dim(cur, flavor, beta, chi) >= 0
+
+
+def test_generators_fit_the_oracle_beyond_the_old_branches():
+    """Per character, the generators of that character are linearly
+    independent functions no more numerous than the weight space allows:
+    the rank of their values at six seeded points is at least 1 and at most
+    the oracle's dimension. Symplectic groups need even dimensions at the
+    fixed vertices."""
+    characters = 0
+    for sq in WIDER_SHAPES:
+        for scale in (1, 2):
+            d = null_root(sq.base).scale(scale)
+            for flavor in (SYMPLECTIC, ORTHOGONAL):
+                if flavor == SYMPLECTIC and any(d[x] % 2 for x in sq.v_fixed):
+                    continue
+                points = [random_structured(sq, flavor, d, seed=1800 + s) for s in range(6)]
+                by_character = {}
+                for g in generators_tame(sq, d, flavor):
+                    by_character.setdefault(g.weight.character_key(sq), []).append(g)
+                characters += len(by_character)
+                for gens in by_character.values():
+                    values = [[g.evaluate(w) for w in points] for g in gens]
+                    got = rank(RationalMatrix.from_rows(values))
+                    dim = weight_space_dim(sq, flavor, d, gens[0].weight)
+                    assert 1 <= got <= dim, (sq.base.name, scale, flavor,
+                                             [g.kind for g in gens], got, dim)
+    assert characters >= 150
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "schur._chain_dim compares beta with the zero-padded running partition, "
+    "so a drop in beta along the half chain kills even the constants. The "
+    "fix re-records six oracle-dim outputs of the benchmark's golden file, "
+    "so it lands with its own benchmark change, which must flip this test."))
+@pytest.mark.parametrize("flavor", [SYMPLECTIC, ORTHOGONAL])
+def test_chain_with_a_drop_in_beta_holds_the_constants(flavor):
+    beta = DimensionVector({1: 2, 2: 1, 3: 1, 4: 2})
+    assert weight_space_dim(families.symmetric_a(4), flavor, beta, Weight({})) == 1
