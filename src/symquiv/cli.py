@@ -8,12 +8,12 @@ import sys
 from . import io as sqio
 from .errors import SymquivError
 from .linalg import pfaffian
-from .quiver import DimensionVector, euler_form
+from .quiver import euler_form
 from .reflection import PLUS, reflect_pair_dim, reflect_pair_rep
 from .representation import act, random_group_element, random_structured
 from .schur import lr_coefficient, weight_space_dim
 from .semiinvariant import evaluate_all, generators_finite, generators_tame
-from .symmetric import classify_symmetric
+from .symmetric import classify_symmetric, reflect_pair_quiver
 from .tame import admissible_arcs, canonical_decomposition, generic_decomposition
 
 
@@ -57,8 +57,7 @@ def cmd_reflect(args) -> int:
         sys.stdout.write(sqio.serialize_quiver(sq2))
         print("dim " + sqio.format_dim_vector(out, sq2))
         return 0
-    sq2 = reflect_pair_dim(sq, x, DimensionVector.zero(sq.base))[0]
-    sys.stdout.write(sqio.serialize_quiver(sq2))
+    sys.stdout.write(sqio.serialize_quiver(reflect_pair_quiver(sq, x)))
     return 0
 
 

@@ -298,7 +298,9 @@ def column_space_complement(m: RationalMatrix):
     ascending, and ``proj`` maps K^rows onto them.  Reducing a standard
     vector against that basis leaves minus a kernel entry at each
     complement index, so the rows of ``proj`` are the kernel basis of the
-    transpose.
+    transpose (the free columns of its RREF are the complement indices),
+    and a vector of that kernel has its entries at the complement indices
+    as its coordinates in that basis.
     """
     a, pivots, _, d = _eliminate(m.transpose().int_rows())
     basis, comp = _kernel(a, pivots, d, m.rows)
@@ -412,13 +414,6 @@ def inverse(m: RationalMatrix) -> RationalMatrix:
     if pivots[:n] != list(range(n)):
         raise ValidationError("matrix is singular")
     return RationalMatrix._from_ints(n, n, [x for row in a for x in row[n:]], d)
-
-
-def coordinates_in_span(basis: List[List[Fraction]], vec: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Coordinates of vec in the span of basis vectors (columns), or None."""
-    if not basis:
-        return [] if all(x == 0 for x in vec) else None
-    return solve(RationalMatrix.from_rows(basis).transpose(), list(vec))
 
 
 def interpolate_polynomial(points: Sequence) -> List[Fraction]:

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .linalg import (RationalMatrix, _int_product, column_space_complement,
-                     coordinates_in_span, kernel_basis)
+from .linalg import RationalMatrix, _int_product, column_space_complement
 from .quiver import DimensionVector, Quiver
 from .representation import Representation
 
@@ -116,133 +115,114 @@ def evaluate_template(t: PathMatrix, w: Representation) -> RationalMatrix:
 
 
 # -- modules from presentations ------------------------------------------------
+#
+# A sum of projectives P(x_0) + P(x_1) + ... has at each vertex z the basis of
+# pairs (summand c, path from x_c to z), by summand and then path, and an
+# arrow a sends (c, p) to (c, p + (a,)).  So every map between such sums and
+# their sub- and quotient modules is read off these bases: an arrow map is a
+# re-indexing of coordinates, not a matrix product.
 
-class _ProjSum:
-    """Direct sum of indecomposable projectives with a path-labelled basis."""
+_Basis = Dict[int, List[Tuple[int, Path]]]
 
-    def __init__(self, q: Quiver, vertices: Sequence[int]):
-        self.q = q
-        self.vertices = list(vertices)
-        self.paths = [q.paths_from(x) for x in self.vertices]
-        self.basis: Dict[int, List[Tuple[int, Path]]] = {}
-        for z in q.vertices:
-            items: List[Tuple[int, Path]] = []
-            for c, table in enumerate(self.paths):
-                for p in table[z]:
-                    items.append((c, p))
-            self.basis[z] = items
 
-    def dim(self, z: int) -> int:
-        return len(self.basis[z])
+def _basis(q: Quiver, vertices: Sequence[int]) -> _Basis:
+    """The path basis at each vertex of the sum of the projectives at ``vertices``."""
+    tables = [q.paths_from(x) for x in vertices]
+    return {z: [(c, p) for c, table in enumerate(tables) for p in table[z]]
+            for z in q.vertices}
 
-    def index(self, z: int, summand: int, path: Path) -> int:
-        return self.basis[z].index((summand, path))
 
-    def arrow_matrix(self, name: str) -> RationalMatrix:
-        a = self.q.arrow_by_name[name]
-        src = self.basis[a.tail]
-        dst = self.basis[a.head]
-        lookup = {item: i for i, item in enumerate(dst)}
-        num = [0] * (len(dst) * len(src))
-        for j, (c, p) in enumerate(src):
-            num[lookup[(c, p + (name,))] * len(src) + j] = 1
-        return RationalMatrix._from_ints(len(dst), len(src), num)
+def _shift(basis: _Basis, a) -> List[int]:
+    """The arrow ``a`` on a path basis: the position at its head of each
+    position at its tail."""
+    index = {item: i for i, item in enumerate(basis[a.head])}
+    return [index[c, p + (a.name,)] for c, p in basis[a.tail]]
+
+
+def _columns(m: RationalMatrix, picks: Sequence[Optional[int]]) -> RationalMatrix:
+    """The columns of ``m`` at ``picks``, a zero column for None."""
+    num = [m.num[i * m.cols + j] if j is not None else 0
+           for i in range(m.rows) for j in picks]
+    return RationalMatrix._from_ints(m.rows, len(picks), num, m.den)
+
+
+def _top(q: Quiver, dim, mats) -> List[Tuple[int, int]]:
+    """The (vertex, coordinate) pairs spanning a complement of the radical
+    of the module with dimensions ``dim`` and arrow maps ``mats``: at each
+    vertex, the coordinates outside the pivots of the images of the arrows
+    into it, taken by name."""
+    out = []
+    for x in q.vertices:
+        arrows_in = sorted(q.arrows_into(x), key=lambda a: a.name)
+        rad = (RationalMatrix.block([[mats[a.name] for a in arrows_in]]) if arrows_in
+               else RationalMatrix.zero(dim[x], 0))
+        out.extend((x, i) for i in column_space_complement(rad)[1])
+    return out
 
 
 def module_from_presentation(t: PathMatrix) -> Representation:
-    """Cokernel of the presentation map, with deterministic quotient bases."""
+    """Cokernel of the presentation map, with deterministic quotient bases:
+    at each vertex, the path basis coordinates outside the pivots of the
+    image."""
     q = t.quiver
-    p0 = _ProjSum(q, t.cols)
-    p1 = _ProjSum(q, t.rows)
-    # the map phi sends the basis path (r, tail_path) of P1 to
-    # sum over columns of entry-path * tail_path inside P0
-    phi: Dict[int, RationalMatrix] = {}
+    p0, p1 = _basis(q, t.cols), _basis(q, t.rows)
+    proj, comp = {}, {}
     for z in q.vertices:
-        width = p1.dim(z)
-        entries = [0] * (p0.dim(z) * width)
-        for jcol, (r, tpath) in enumerate(p1.basis[z]):
+        index = {item: i for i, item in enumerate(p0[z])}
+        width = len(p1[z])
+        # column j is the image of the basis path (r, tail) of P1: the sum
+        # over the columns c of entry-path * tail inside P0
+        entries = [0] * (len(p0[z]) * width)
+        for j, (r, tail) in enumerate(p1[z]):
             for c in range(len(t.cols)):
-                for spath, coeff in t.entries[r][c].items():
-                    entries[p0.index(z, c, spath + tpath) * width + jcol] += coeff
-        phi[z] = RationalMatrix(p0.dim(z), width, entries)
-    proj = {}
-    comp = {}
-    for z in q.vertices:
-        proj[z], comp[z] = column_space_complement(phi[z])
-    dim = DimensionVector({z: proj[z].rows for z in q.vertices})
+                for path, coeff in t.entries[r][c].items():
+                    entries[index[c, path + tail] * width + j] += coeff
+        proj[z], comp[z] = column_space_complement(RationalMatrix(len(p0[z]), width, entries))
     mats = {}
     for a in q.arrows:
-        p0a = p0.arrow_matrix(a.name)
-        width = proj[a.tail].rows
-        num = [0] * (p0.dim(a.tail) * width)
-        for col, idx in enumerate(comp[a.tail]):
-            num[idx * width + col] = 1
-        section = RationalMatrix._from_ints(p0.dim(a.tail), width, num)
-        mats[a.name] = proj[a.head] * p0a * section
-    return Representation(q, dim, mats)
+        shift = _shift(p0, a)
+        mats[a.name] = _columns(proj[a.head], [shift[i] for i in comp[a.tail]])
+    return Representation(q, DimensionVector({z: proj[z].rows for z in q.vertices}), mats)
 
 
 def minimal_presentation(m: Representation) -> PathMatrix:
     """Minimal projective presentation of a representation.
 
-    The cover is built on a deterministic complement of the radical, the
-    syzygy is expressed in the path bases of the cover, and the resulting
-    template evaluates to the defining matrix of the determinantal
-    semi-invariant attached to ``m``.
+    The cover P0 has one summand per generator (``_top``).  The syzygy at
+    each vertex is the RREF kernel basis of P0 -> m on the path basis, one
+    vector per free column, so a syzygy vector's coordinates are its free
+    entries and the syzygy's arrow maps re-index them.  The rows of the
+    template are the syzygy's generators in the path basis; it evaluates to
+    the defining matrix of the determinantal semi-invariant attached to ``m``.
     """
     q = m.quiver
-    # generators: complement of the radical at each vertex
-    gens: List[Tuple[int, List[Fraction]]] = []
-    for x in q.vertices:
-        arrows_in = sorted(q.arrows_into(x), key=lambda a: a.name)
-        rad = (RationalMatrix.block([[m.matrices[a.name] for a in arrows_in]]) if arrows_in
-               else RationalMatrix.zero(m.dim[x], 0))
-        for idx in column_space_complement(rad)[1]:
-            vec = [Fraction(0)] * m.dim[x]
-            vec[idx] = Fraction(1)
-            gens.append((x, vec))
-    p0 = _ProjSum(q, [x for x, _ in gens])
-    # pi: P0 -> M on path bases
-    pi: Dict[int, RationalMatrix] = {}
+    gens = _top(q, m.dim, m.matrices)
+    p0 = _basis(q, [x for x, _ in gens])
+    # the image in m of each basis path, formed from its prefix
+    images: Dict[Tuple[int, Path], List[Fraction]] = {}
+    for c, path in sorted((item for z in q.vertices for item in p0[z]),
+                          key=lambda item: len(item[1])):
+        if path:
+            images[c, path] = m.matrices[path[-1]].apply(images[c, path[:-1]])
+        else:
+            x, i = gens[c]
+            images[c, path] = [Fraction(int(k == i)) for k in range(m.dim[x])]
+    kernel, free = {}, {}
     for z in q.vertices:
-        cols = []
-        for c, path in p0.basis[z]:
-            vec = list(gens[c][1])
-            for name in path:
-                vec = m.matrices[name].apply(vec)
-            cols.append(vec)
-        pi[z] = (RationalMatrix.from_rows(cols).transpose() if cols
-                 else RationalMatrix.zero(m.dim[z], 0))
-    # the syzygy as a subrepresentation of P0
-    kb: Dict[int, List[List[Fraction]]] = {z: kernel_basis(pi[z]) for z in q.vertices}
-    karrow: Dict[str, RationalMatrix] = {}
+        rows = [images[item] for item in p0[z]]
+        kernel[z], free[z] = column_space_complement(
+            RationalMatrix(len(rows), m.dim[z], [x for row in rows for x in row]))
+    karrows = {}
     for a in q.arrows:
-        p0a = p0.arrow_matrix(a.name)
-        cols = []
-        for vec in kb[a.tail]:
-            img = p0a.apply(vec)
-            coords = coordinates_in_span(kb[a.head], img)
-            assert coords is not None, "syzygy is not arrow-stable"
-            cols.append(coords)
-        karrow[a.name] = (RationalMatrix.from_rows(cols).transpose() if cols
-                          else RationalMatrix.zero(len(kb[a.head]), 0))
-    # generators of the syzygy
+        back = {j: i for i, j in enumerate(_shift(p0, a))}
+        karrows[a.name] = _columns(kernel[a.tail], [back.get(j) for j in free[a.head]]).transpose()
     rows: List[int] = []
-    row_vectors: List[Tuple[int, List[Fraction]]] = []
-    for y in q.vertices:
-        arrows_in = sorted(q.arrows_into(y), key=lambda a: a.name)
-        rad = (RationalMatrix.block([[karrow[a.name] for a in arrows_in]]) if arrows_in
-               else RationalMatrix.zero(len(kb[y]), 0))
-        for idx in column_space_complement(rad)[1]:
-            rows.append(y)
-            row_vectors.append((y, kb[y][idx]))
-    cols = [x for x, _ in gens]
     entries: List[List[PathCombo]] = []
-    for y, vec in row_vectors:
-        row_entry: List[PathCombo] = [dict() for _ in cols]
-        for pos, coeff in enumerate(vec):
+    for y, k in _top(q, {z: len(free[z]) for z in q.vertices}, karrows):
+        entry: List[PathCombo] = [{} for _ in gens]
+        for (c, path), coeff in zip(p0[y], kernel[y].row(k)):
             if coeff:
-                c, path = p0.basis[y][pos]
-                row_entry[c][path] = row_entry[c].get(path, Fraction(0)) + coeff
-        entries.append([{p: v for p, v in e.items() if v} for e in row_entry])
-    return PathMatrix(q, rows, cols, entries)
+                entry[c][path] = coeff
+        rows.append(y)
+        entries.append(entry)
+    return PathMatrix(q, rows, [x for x, _ in gens], entries)

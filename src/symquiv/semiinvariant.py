@@ -283,6 +283,12 @@ def _dedup_values(desc: GeneratorDescriptor,
     return None
 
 
+def _is_empty(t: PathMatrix | Pencil, dim: DimensionVector) -> bool:
+    """Whether the template evaluates to a 0 x 0 matrix at dimension vector
+    ``dim``: its det or pf is the constant 1, not a generator."""
+    return not any(dim[v] for v in (*t.rows, *t.cols))
+
+
 # -- finite type -------------------------------------------------------------------
 
 def chain_interval_module(sq: SymmetricQuiver, j: int, i: int) -> Representation:
@@ -319,6 +325,8 @@ def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
             if euler_form(sq.base, v.dim, beta) != 0:
                 continue
             t = minimal_presentation(v)
+            if _is_empty(t, beta):
+                continue
             out.append(GeneratorDescriptor(
                 "det", template_weight(sq, t), "interval[%d,%d]" % (j, i), template=t))
     for i in range(1, m + 1):
@@ -327,6 +335,8 @@ def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
         if euler_form(sq.base, v.dim, beta) != 0:
             continue
         t = minimal_presentation(v)
+        if _is_empty(t, beta):
+            continue
         if wants_pf:
             if beta[order[i - 1]] % 2:
                 continue
@@ -392,6 +402,8 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
     out: List[Tuple[GeneratorDescriptor, Tuple[Fraction, ...]]] = []
 
     def keep_if_nonzero(desc: GeneratorDescriptor) -> bool:
+        if _is_empty(desc.template, d):
+            return False
         values = _dedup_values(desc, points)
         if values is not None:
             out.append((desc, values))
@@ -400,7 +412,7 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
     # the coefficient family of the parameter pencil
     pen = pencil_templates(sq)
     kind = PENCIL_KIND[(st.tag, flavor)]
-    use_pencil = size(pen.rows) == size(pen.cols)
+    use_pencil = size(pen.rows) == size(pen.cols) and not _is_empty(pen, d)
     if use_pencil and kind == "pf":
         normalized = _skew_normalize_pencil(pen, points)
         if normalized is None or size(pen.rows) % 2:

@@ -22,20 +22,11 @@ from .symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver,
 
 
 @dataclass(frozen=True)
-class Pole:
-    kind: str            # 'vertex' or 'edge'
-    index: int           # polygon index (for an edge, the anchor of {i, i+1})
-    fixed_vertex: Optional[int] = None   # sigma-fixed vertex met by the support
-    fixed_arrow: Optional[str] = None    # sigma-fixed arrow met by the support
-
-
-@dataclass(frozen=True)
 class Polygon:
     name: str
     dims: Tuple[DimensionVector, ...]    # tau-plus cyclic order
     sigma: Optional[Tuple[int, ...]]     # index involution, None when paired away
     partner: Optional[str] = None        # polygon carrying the delta images
-    poles: Tuple[Pole, ...] = ()
 
     @property
     def rank(self) -> int:
@@ -189,9 +180,7 @@ def _polygons(sq: SymmetricQuiver) -> Tuple[Polygon, ...]:
             anchor = min(edges, key=orbit.__getitem__)
         rotated = orbit[anchor:] + orbit[:anchor]
         sigma = _index_involution(delta, rotated)
-        dims = _dimension_vectors(verts, rotated)
-        polygons.append(Polygon(names[oi], dims, sigma,
-                                poles=_find_poles(sq, dims, sigma)))
+        polygons.append(Polygon(names[oi], _dimension_vectors(verts, rotated), sigma))
     return tuple(polygons)
 
 
@@ -202,30 +191,6 @@ def _dimension_vectors(verts: Sequence[int],
 
 def _index_involution(delta, dims: List[Tuple[int, ...]]) -> Tuple[int, ...]:
     return tuple(dims.index(delta(e)) for e in dims)
-
-
-def _find_poles(sq: SymmetricQuiver, dims: Tuple[DimensionVector, ...],
-                sigma: Tuple[int, ...]) -> Tuple[Pole, ...]:
-    poles: List[Pole] = []
-    r = len(dims)
-    for i in range(r):
-        if sigma[i] == i:
-            poles.append(_pole_data(sq, dims[i], "vertex", i))
-        if sigma[i] == (i + 1) % r and r > 1:
-            poles.append(_pole_data(sq, dims[i], "edge", i))
-    return tuple(poles)
-
-
-def _pole_data(sq: SymmetricQuiver, e: DimensionVector, kind: str, index: int) -> Pole:
-    for x in sq.v_fixed:
-        if e[x] != 0:
-            if kind == "vertex":
-                return Pole(kind, index, fixed_vertex=x)
-    for name in sq.a_fixed:
-        a = sq.base.arrow_by_name[name]
-        if e[a.tail] != 0 or e[a.head] != 0:
-            return Pole(kind, index, fixed_arrow=name)
-    return Pole(kind, index)
 
 
 # -- canonical decomposition ---------------------------------------------------
@@ -372,24 +337,6 @@ def _is_symmetric_interval(poly: Polygon, start: int, length: int) -> bool:
     return idx == {poly.sigma[i] for i in idx}
 
 
-def _arc_pole(poly: Polygon, start: int, length: int) -> Optional[Pole]:
-    """The pole sitting in the middle of a symmetric interval."""
-    if poly.sigma is None:
-        return None
-    r = poly.rank
-    if length % 2 == 1:
-        mid = (start + length // 2) % r
-        for pole in poly.poles:
-            if pole.kind == "vertex" and pole.index == mid:
-                return pole
-    else:
-        mid = (start + length // 2 - 1) % r
-        for pole in poly.poles:
-            if pole.kind == "edge" and pole.index == mid:
-                return pole
-    return None
-
-
 # -- generic decompositions -------------------------------------------------------
 
 @dataclass
@@ -454,21 +401,29 @@ def generic_summands(sq: SymmetricQuiver, d: DimensionVector, mode: str) -> List
                 out.append(Summand(poly.interval_sum(arc.start, arc.length), arc.q,
                                    ("symarc", poly.name, arc.start, arc.length)))
             continue
-        # group the symmetric arcs by their pole and apply the pairing rules
-        by_pole: Dict[int, List[Arc]] = {}
+        # group the symmetric arcs by their pole, at twice the middle index
+        # (an even centre is a vertex pole, an odd one the edge after it),
+        # and apply the pairing rules
+        by_centre: Dict[int, List[Arc]] = {}
         for arc in sym_arcs:
-            pole = _arc_pole(poly, arc.start, arc.length)
-            assert pole is not None, "symmetric arcs sit over a pole"
-            by_pole.setdefault(poly.poles.index(pole), []).append(arc)
-        for pole_idx, group in sorted(by_pole.items()):
-            pole = poly.poles[pole_idx]
+            centre = (2 * arc.start + arc.length - 1) % (2 * poly.rank)
+            by_centre.setdefault(centre, []).append(arc)
+        partial = _polygon_partial(lp)
+        for centre, group in sorted(by_centre.items()):
             group.sort(key=lambda a: -a.length)  # outermost first
-            partial = _polygon_partial(lp)
-            if mode == SYMPLECTIC:
-                substitute = pole.fixed_vertex is not None
+            e = poly.dims[centre // 2]
+            # sp substitutes at a vertex pole that meets a sigma-fixed
+            # vertex; o never does there, and elsewhere it does when the
+            # first sigma-fixed arrow the pole meets has an even partial sum
+            # at its tail
+            if centre % 2 == 0 and any(e[x] for x in sq.v_fixed):
+                substitute = mode == SYMPLECTIC
+            elif mode == SYMPLECTIC:
+                substitute = False
             else:
-                substitute = (pole.fixed_arrow is not None and
-                              partial[sq.base.arrow_by_name[pole.fixed_arrow].tail] % 2 == 0)
+                arrow = next((a for a in map(sq.base.arrow_by_name.get, sq.a_fixed)
+                              if e[a.tail] or e[a.head]), None)
+                substitute = arrow is not None and partial[arrow.tail] % 2 == 0
             if not substitute:
                 for arc in group:
                     out.append(Summand(poly.interval_sum(arc.start, arc.length), arc.q,

@@ -441,3 +441,21 @@ def test_degenerate_template_is_not_square(tmp_path, capsys, template):
     assert code == NotSquare.exit_code
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("path", sorted(FIX.glob("*.qv")), ids=lambda p: p.stem)
+def test_reflect_without_a_vector_prints_the_quiver_of_the_dim_reflection(path, capsys):
+    sq = sqio.parse_quiver(path.read_text())
+    zero = ",".join("0" for _ in sq.base.vertices)
+    for x in sq.base.vertices:
+        code, out = run_cli("reflect", "-q", str(path), "--at", str(x))
+        code_dim, out_dim = run_cli("reflect", "-q", str(path), "--at", str(x), "--dim", zero)
+        assert code == code_dim
+        if x in admissible_sinks(sq):
+            assert code == 0
+            assert out == out_dim[:out_dim.index("dim ")]
+        else:
+            assert code != 0
+            assert out == out_dim == ""
+            assert capsys.readouterr().err == (
+                "error: vertex %r is not an admissible sink\n" % x) * 2

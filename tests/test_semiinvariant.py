@@ -482,3 +482,39 @@ def test_generators_labelled_inputs_all_families():
                 elt = random_group_element(sq, flavor, d,
                                            seed=rng.randint(0, 10 ** 9))
                 assert g.evaluate(act(elt, w)) == g.evaluate(w)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "fixtures").glob("*.qv")),
+                         ids=lambda p: p.stem)
+def test_generators_at_dimension_zero_are_empty(path):
+    # every candidate evaluates to a 0 x 0 matrix there, whose det or pf is
+    # the constant 1
+    sq = sqio.parse_quiver(path.read_text())
+    zero = DimensionVector.zero(sq.base)
+    enumeration = (generators_finite if classify_symmetric(sq).tag == "FiniteA"
+                   else generators_tame)
+    for flavor in (SYMPLECTIC, ORTHOGONAL):
+        assert enumeration(sq, zero, flavor) == []
+
+
+def test_a_candidate_through_zero_spaces_is_not_a_generator():
+    # interval[2,2] and mirror-interval[2,3] of the five-chain and
+    # mirror-interval[2,2] of the four-chain present modules whose row and
+    # column vertices carry 0
+    sq5 = families.symmetric_a(5)
+    beta5 = DimensionVector({1: 1, 2: 0, 3: 0, 4: 0, 5: 1})
+    sq4 = families.symmetric_a(4)
+    beta4 = DimensionVector({1: 1, 2: 0, 3: 0, 4: 1})
+    assert generators_finite(sq5, beta5, SYMPLECTIC) == []
+    assert generators_finite(sq4, beta4, ORTHOGONAL) == []
+
+
+@pytest.mark.xfail(strict=True, reason="generators_finite has no nonzero test: "
+                   "det mirror-interval[1,3] at (2,1,1,2) is the det of a 2x2 map "
+                   "through 1-dimensional spaces")
+def test_finite_generators_do_not_vanish_identically():
+    sq = families.symmetric_a(4)
+    beta = DimensionVector({1: 2, 2: 1, 3: 1, 4: 2})
+    for g in generators_finite(sq, beta, SYMPLECTIC):
+        assert any(g.evaluate(random_structured(sq, SYMPLECTIC, beta, seed=s))
+                   for s in (1, 2, 3)), g.provenance
