@@ -5,6 +5,7 @@ independent weight-space dimension oracle for supported quivers."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AsymmetricWeight, UnsupportedQuiver, ValidationError
@@ -16,13 +17,14 @@ Partition = Tuple[int, ...]
 
 
 def normalize_partition(parts: Iterable[int]) -> Partition:
+    """The parts as a tuple without its trailing zeros, once they are
+    checked weakly decreasing and nonnegative."""
     p = tuple(int(x) for x in parts)
-    trimmed = tuple(x for x in p if x != 0)
-    if any(trimmed[i] < trimmed[i + 1] for i in range(len(trimmed) - 1)):
+    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValidationError("partition parts must be weakly decreasing")
-    if any(x < 0 for x in trimmed):
+    if any(x < 0 for x in p):
         raise ValidationError("partition parts must be nonnegative")
-    return trimmed
+    return tuple(filter(None, p))
 
 
 def size(p: Partition) -> int:
@@ -56,87 +58,41 @@ def has_even_columns(p: Partition) -> bool:
     return has_even_rows(conjugate(p))
 
 
-def partitions_of(n: int, max_part: Optional[int] = None,
-                  max_height: Optional[int] = None) -> List[Partition]:
-    """All partitions of n subject to optional caps."""
-    if max_part is None:
-        max_part = n
-    if max_height is None:
-        max_height = n
-
-    out: List[Partition] = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if len(prefix) >= max_height:
-            return
-        top = min(cap, remaining)
-        for part in range(top, 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(n, max_part, [])
-    return out
-
-
 def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Number of Littlewood-Richardson skew tableaux of shape nu/lam and
-    content mu whose row word is a lattice permutation.  The partitions may
-    be any int sequences; trailing zeros are dropped."""
-    lam = normalize_partition(lam)
-    mu = normalize_partition(mu)
-    nu = normalize_partition(nu)
-    if size(lam) + size(mu) != size(nu):
-        return 0
-    if not contains(nu, lam):
+    content mu whose reversed row word is a lattice word.  The partitions
+    may be any int sequences; trailing zeros are dropped.
+
+    A tableau is counted row by row. Row r holds c_i letters i, laid out
+    weakly increasing, so it is fixed by the column where its letters <= i
+    end. Each c_i is bounded by the content still left, by the column where
+    letter i starts in row r - 1 (so that columns strictly increase), and by
+    used[i] + c_i <= used[i - 1] over the rows above (the lattice word)."""
+    lam, mu, nu = (normalize_partition(p) for p in (lam, mu, nu))
+    if size(lam) + size(mu) != size(nu) or not contains(nu, lam):
         return 0
     if not mu:
-        return 1 if lam == nu else 0
-    rows = len(nu)
-    lam_pad = lam + (0,) * (rows - len(lam))
-    counts = [0] * (len(mu) + 1)  # counts[i] = number of i's placed so far
-    mu_list = list(mu)
+        return 1
+    lam += (0,) * (len(nu) - len(lam))
+    k = len(mu)
 
-    total = 0
+    def count(r: int, above: List[int], ends: List[int], used: List[int]) -> int:
+        """The fillings of row r from letter len(ends) on, and of the rows
+        below. ends[j] is the column where the letters <= j of row r end,
+        above[j] the same in row r - 1, and used[j] counts the letters j in
+        the rows above (used[0] leaves letter 1 unbounded)."""
+        i, col = len(ends), ends[-1]
+        if i > k:
+            if r + 1 == len(nu):
+                return 1
+            used = used[:1] + [u + b - a for u, a, b in zip(used[1:], ends, ends[1:])]
+            return count(r + 1, ends, [lam[r + 1]], used)
+        top = min(nu[r], above[i - 1], col + mu[i - 1] - used[i], col + used[i - 1] - used[i])
+        # the last letter fills the row
+        return sum(count(r, above, ends + [end], used)
+                   for end in range(nu[r] if i == k else col, top + 1))
 
-    def place(r: int, c: int, row_vals: List[int], above: List[List[int]]) -> int:
-        """Fill row r from right to left to keep the reading word lattice."""
-        nonlocal total
-        if r == rows:
-            total += 1
-            return 0
-        row_start = lam_pad[r]
-        row_end = nu[r]
-        if c < row_start:
-            above.append(row_vals[:])
-            place(r + 1, nu[r + 1] - 1 if r + 1 < rows else 0, [0] * (nu[r + 1] if r + 1 < rows else 0), above)
-            above.pop()
-            return 0
-        for val in range(1, len(mu_list) + 1):
-            if counts[val] >= mu_list[val - 1]:
-                continue
-            # lattice condition as the reading word grows
-            if val > 1 and counts[val] + 1 > counts[val - 1]:
-                continue
-            # weakly increasing along the row, left to right
-            if c + 1 < row_end and row_vals[c + 1] and val > row_vals[c + 1]:
-                continue
-            # strictly increasing down each column
-            if r > 0 and c < nu[r - 1] and c >= lam_pad[r - 1]:
-                if above[r - 1][c] >= val:
-                    continue
-            row_vals[c] = val
-            counts[val] += 1
-            place(r, c - 1, row_vals, above)
-            counts[val] -= 1
-            row_vals[c] = 0
-        return 0
-
-    place(0, nu[0] - 1, [0] * nu[0], [])
-    return total
+    return count(0, [nu[0]] * (k + 1), [lam[0]], [size(mu)] + [0] * k)
 
 
 def rectangle_tensor(l: int, s: int, m: int, t: int) -> List[Partition]:
@@ -147,33 +103,12 @@ def rectangle_tensor(l: int, s: int, m: int, t: int) -> List[Partition]:
         t = 0
     if s < t:
         l, s, m, t = m, t, l, s
-    if t == 0:
-        return [normalize_partition([l] * s)]
-    out: List[Partition] = []
-
-    def rec(prefix: List[int], remaining: int, cap: int):
-        if remaining == 0:
-            cs = prefix[:]
-            if l + cs[-1] < m:
-                return
-            nu = [l + c for c in cs]
-            nu += [l] * (s - t)
-            nu += [m - c for c in reversed(cs)]
-            out.append(normalize_partition(nu))
-            return
-        for c in range(min(cap, m), -1, -1):
-            prefix.append(c)
-            rec(prefix, remaining - 1, c)
-            prefix.pop()
-
-    rec([], t, m)
-    seen = set()
-    unique = []
-    for nu in out:
-        if nu not in seen:
-            seen.add(nu)
-            unique.append(nu)
-    return unique
+    out: Dict[Partition, None] = {}  # a dict keeps the first-seen order
+    for cs in combinations_with_replacement(range(m, -1, -1), t):
+        if not cs or l + cs[-1] >= m:
+            nu = [l + c for c in cs] + [l] * (s - t) + [m - c for c in reversed(cs)]
+            out[normalize_partition(nu)] = None
+    return list(out)
 
 
 def classical_invariant_dim(lam, group: str, n: int) -> int:
@@ -237,10 +172,9 @@ def rectangle_complement(lam: Partition, t: int, p: int) -> Optional[Partition]:
 
 
 def _subrectangle_partitions(t: int, p: int) -> List[Partition]:
-    out = [()]
-    for n in range(1, t * p + 1):
-        out.extend(partitions_of(n, max_part=t, max_height=p))
-    return out
+    """Every partition inside the t x p box: a weakly decreasing vector of p
+    entries in [0, t], without its zeros."""
+    return [tuple(filter(None, c)) for c in combinations_with_replacement(range(t, -1, -1), p)]
 
 
 def _fixed_arrow_rule(flavor: str, lam: Partition) -> bool:
@@ -355,7 +289,8 @@ def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
             raise AsymmetricWeight("weights vanish on sigma-fixed vertices")
 
     def m_of(x: int) -> Fraction:
-        return chi[x] - chi[sq.sv(x)]
+        # GL(0) is trivial: no weight is read where beta is 0
+        return chi[x] - chi[sq.sv(x)] if beta[x] else Fraction(0)
 
     if classify_symmetric(sq).tag != "FiniteA":
         return _cycle_dim(sq, flavor, beta, {x: m_of(x) for x in sq.v_plus})

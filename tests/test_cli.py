@@ -67,6 +67,14 @@ def test_lr_command():
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("lam", ["2,0,1", "0,1"])
+def test_lr_rejects_a_zero_before_a_part(capsys, lam):
+    """Zeros may only trail: 2,0,1 is not read as 2,1, nor 0,1 as 1."""
+    code, out = run_cli("lr", "--lambda", lam, "--mu", "1", "--nu", "3,1")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: partition parts must be weakly decreasing\n"
+
+
 @pytest.mark.parametrize("flavor", ["o", "sp"])
 def test_negative_dimension_exits_2(capsys, flavor):
     """A negative entry of a finite-type dimension vector is a validation
@@ -193,6 +201,16 @@ def test_oracle_dim_on_a_larger_a_tilde_quiver():
                         "--dim", "2,2,2,2,2,2", "--flavor", "sp",
                         "--weight", "1,0,0,-1,0,0")
     assert (code, out) == (0, "3\n")
+
+
+@pytest.mark.parametrize("fixture, dim, weight, zeroed", [
+    ("a201_22.qv", "0,0,1,0,0,1", "-3,-3,-3,1,1,-3", "0,0,-3,0,0,-3"),
+    ("a4.qv", "0,1,1,0", "1/2,0,0,0", "0,0,0,0"),
+], ids=["a201_22", "a4"])
+def test_oracle_dim_reads_no_weight_where_the_dimension_is_zero(fixture, dim, weight, zeroed):
+    answers = [run_cli("oracle-dim", "-q", str(FIX / fixture), "--dim", dim,
+                       "--flavor", "sp", "--weight=" + wt) for wt in (weight, zeroed)]
+    assert answers == [(0, "1\n")] * 2
 
 
 A202_2_0 = ("quiver A202_2_0\nvertex 1 2 3 4\narrow a 1 3\narrow b 4 2\narrow u1 1 2\n"

@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from typing import List, Optional
 
 import pytest
 
@@ -9,14 +11,40 @@ from symquiv.errors import UnsupportedQuiver
 from symquiv.linalg import RationalMatrix, rank
 from symquiv.quiver import DimensionVector, Quiver, null_root
 from symquiv.representation import random_structured
-from symquiv.schur import (_fixed_vertex_rule, _subrectangle_partitions,
-                           classical_invariant_dim, conjugate, has_even_columns,
+from symquiv.schur import (Partition, _fixed_vertex_rule, _subrectangle_partitions,
+                           classical_invariant_dim, conjugate, contains, has_even_columns,
                            has_even_rows, lr_coefficient, normalize_partition,
-                           pair_semiinvariant_dim, partitions_of, rectangle_complement,
-                           rectangle_tensor, shifted_by_constant, weight_space_dim)
+                           pair_semiinvariant_dim, rectangle_complement,
+                           rectangle_tensor, shifted_by_constant, size, weight_space_dim)
 from symquiv.semiinvariant import Weight, generators_tame
 from symquiv.symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver, admissible_sinks,
                                classify_symmetric, reflect_pair_quiver)
+
+
+def partitions_of(n: int, max_part: Optional[int] = None,
+                  max_height: Optional[int] = None) -> List[Partition]:
+    """All partitions of n subject to optional caps."""
+    if max_part is None:
+        max_part = n
+    if max_height is None:
+        max_height = n
+
+    out: List[Partition] = []
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if len(prefix) >= max_height:
+            return
+        top = min(cap, remaining)
+        for part in range(top, 0, -1):
+            prefix.append(part)
+            rec(remaining - part, part, prefix)
+            prefix.pop()
+
+    rec(n, max_part, [])
+    return out
 
 
 def brute_lr(lam, mu, nu):
@@ -385,15 +413,39 @@ def _random_weight(rng, sq):
                    for x in sq.base.vertices if sq.sv(x) != x})
 
 
+def _on_support(chi, beta):
+    """chi with every entry where beta is 0 set to 0."""
+    return Weight({x: v for x, v in chi.values.items() if beta[x]})
+
+
 def test_cycle_walk_matches_the_old_branches():
+    """The old branches read chi at beta = 0 h as well, so they are given
+    chi on the support of beta."""
     rng = random.Random(18)
     for _ in range(1500):
         sq = rng.choice(OLD_SHAPES)
         beta = null_root(sq.base).scale(rng.randint(0, 4))
         chi = _random_weight(rng, sq)
         flavor = rng.choice((SYMPLECTIC, ORTHOGONAL))
-        assert weight_space_dim(sq, flavor, beta, chi) == old_branches(sq, flavor, beta, chi), \
+        want = old_branches(sq, flavor, beta, _on_support(chi, beta))
+        assert weight_space_dim(sq, flavor, beta, chi) == want, \
             (sq.base.name, beta, chi, flavor)
+
+
+def test_the_oracle_reads_no_weight_where_beta_is_zero():
+    """GL(0) is trivial, so chi off the support of beta changes nothing."""
+    rng = random.Random(22)
+    changed = 0
+    for sq in OLD_SHAPES + [families.symmetric_a(4), families.symmetric_a(5)]:
+        for _ in range(200):
+            beta = _random_symmetric_dim(rng, sq)
+            chi = _random_weight(rng, sq)
+            flavor = rng.choice((SYMPLECTIC, ORTHOGONAL))
+            on = _on_support(chi, beta)
+            changed += on != chi
+            assert weight_space_dim(sq, flavor, beta, chi) == \
+                weight_space_dim(sq, flavor, beta, on), (sq.base.name, beta, chi, flavor)
+    assert changed >= 400
 
 
 def test_cycle_walk_off_the_null_root_line():
@@ -503,3 +555,158 @@ def test_generators_fit_the_oracle_beyond_the_old_branches():
 def test_chain_with_a_drop_in_beta_holds_the_constants(flavor):
     beta = DimensionVector({1: 2, 2: 1, 3: 1, 4: 2})
     assert weight_space_dim(families.symmetric_a(4), flavor, beta, Weight({})) == 1
+
+
+# -- the box enumerators against the recursions they replaced -------------------
+#
+# The LR count and the rectangle tensor used to be hand-written recursions.
+# They are kept verbatim below, renamed, as the oracle.
+
+def oracle_lr_coefficient(lam, mu, nu) -> int:
+    """Number of Littlewood-Richardson skew tableaux of shape nu/lam and
+    content mu whose row word is a lattice permutation.  The partitions may
+    be any int sequences; trailing zeros are dropped."""
+    lam = normalize_partition(lam)
+    mu = normalize_partition(mu)
+    nu = normalize_partition(nu)
+    if size(lam) + size(mu) != size(nu):
+        return 0
+    if not contains(nu, lam):
+        return 0
+    if not mu:
+        return 1 if lam == nu else 0
+    rows = len(nu)
+    lam_pad = lam + (0,) * (rows - len(lam))
+    counts = [0] * (len(mu) + 1)  # counts[i] = number of i's placed so far
+    mu_list = list(mu)
+
+    total = 0
+
+    def place(r: int, c: int, row_vals: List[int], above: List[List[int]]) -> int:
+        """Fill row r from right to left to keep the reading word lattice."""
+        nonlocal total
+        if r == rows:
+            total += 1
+            return 0
+        row_start = lam_pad[r]
+        row_end = nu[r]
+        if c < row_start:
+            above.append(row_vals[:])
+            place(r + 1, nu[r + 1] - 1 if r + 1 < rows else 0, [0] * (nu[r + 1] if r + 1 < rows else 0), above)
+            above.pop()
+            return 0
+        for val in range(1, len(mu_list) + 1):
+            if counts[val] >= mu_list[val - 1]:
+                continue
+            # lattice condition as the reading word grows
+            if val > 1 and counts[val] + 1 > counts[val - 1]:
+                continue
+            # weakly increasing along the row, left to right
+            if c + 1 < row_end and row_vals[c + 1] and val > row_vals[c + 1]:
+                continue
+            # strictly increasing down each column
+            if r > 0 and c < nu[r - 1] and c >= lam_pad[r - 1]:
+                if above[r - 1][c] >= val:
+                    continue
+            row_vals[c] = val
+            counts[val] += 1
+            place(r, c - 1, row_vals, above)
+            counts[val] -= 1
+            row_vals[c] = 0
+        return 0
+
+    place(0, nu[0] - 1, [0] * nu[0], [])
+    return total
+
+
+def oracle_rectangle_tensor(l: int, s: int, m: int, t: int) -> List[Partition]:
+    """The multiplicity-free decomposition of a product of two rectangles."""
+    if l == 0:
+        s = 0
+    if m == 0:
+        t = 0
+    if s < t:
+        l, s, m, t = m, t, l, s
+    if t == 0:
+        return [normalize_partition([l] * s)]
+    out: List[Partition] = []
+
+    def rec(prefix: List[int], remaining: int, cap: int):
+        if remaining == 0:
+            cs = prefix[:]
+            if l + cs[-1] < m:
+                return
+            nu = [l + c for c in cs]
+            nu += [l] * (s - t)
+            nu += [m - c for c in reversed(cs)]
+            out.append(normalize_partition(nu))
+            return
+        for c in range(min(cap, m), -1, -1):
+            prefix.append(c)
+            rec(prefix, remaining - 1, c)
+            prefix.pop()
+
+    rec([], t, m)
+    seen = set()
+    unique = []
+    for nu in out:
+        if nu not in seen:
+            seen.add(nu)
+            unique.append(nu)
+    return unique
+
+
+def test_lr_row_count_matches_the_recursion_up_to_size_8():
+    triples = 0
+    for n in range(9):
+        nus = partitions_of(n)
+        for a in range(n + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(n - a):
+                    for nu in nus:
+                        assert lr_coefficient(lam, mu, nu) == \
+                            oracle_lr_coefficient(lam, mu, nu), (lam, mu, nu)
+                        triples += 1
+    assert triples > 6000
+
+
+def test_lr_row_count_matches_the_recursion_on_random_triples():
+    """Sizes up to 10, mismatched sizes and a nu that misses lam included."""
+    rng = random.Random(2201)
+    shapes = [p for n in range(11) for p in partitions_of(n)]
+    missed = 0
+    for _ in range(3000):
+        lam, mu = rng.choice(shapes), rng.choice(shapes)
+        n = size(lam) + size(mu)
+        if n > 10 or rng.random() < 0.2:
+            nu = rng.choice(shapes)
+        else:
+            nu = rng.choice(partitions_of(n))
+        missed += not contains(nu, lam)
+        assert lr_coefficient(lam, mu, nu) == oracle_lr_coefficient(lam, mu, nu), (lam, mu, nu)
+    assert missed >= 300
+
+
+def test_rectangle_tensor_matches_the_recursion():
+    for l, s, m, t in itertools.product(range(5), repeat=4):
+        assert rectangle_tensor(l, s, m, t) == oracle_rectangle_tensor(l, s, m, t), (l, s, m, t)
+
+
+def test_subrectangle_partitions_lists_the_box():
+    for t in range(5):
+        for p in range(5):
+            want = [q for n in range(t * p + 1) for q in partitions_of(n, t, p)]
+            got = _subrectangle_partitions(t, p)
+            assert len(got) == len(set(got)) and set(got) == set(want), (t, p)
+
+
+def test_subrectangle_partitions_size_guard():
+    """The 14 x 7 box holds C(21, 7) = 116,280 partitions; enumerating them
+    by size through partitions_of took seconds."""
+    start = time.perf_counter()
+    box = _subrectangle_partitions(14, 7)
+    elapsed = time.perf_counter() - start
+    assert len(set(box)) == len(box) == 116280
+    assert all(len(q) <= 7 and all(0 < x <= 14 for x in q) and
+               all(a >= b for a, b in zip(q, q[1:])) for q in box)
+    assert elapsed < 0.5, elapsed
