@@ -300,8 +300,12 @@ def column_space_complement(m: RationalMatrix):
     complement index, so the rows of ``proj`` are the kernel basis of the
     transpose (the free columns of its RREF are the complement indices),
     and a vector of that kernel has its entries at the complement indices
-    as its coordinates in that basis.
+    as its coordinates in that basis.  A matrix with no rows or no columns
+    has no pivots: every coordinate is free and ``proj`` is the identity,
+    which is what the elimination would return, read off without it.
     """
+    if not (m.rows and m.cols):
+        return RationalMatrix.identity(m.rows), list(range(m.rows))
     a, pivots, _, d = _eliminate(m.transpose().int_rows())
     basis, comp = _kernel(a, pivots, d, m.rows)
     return RationalMatrix._from_ints(len(comp), m.rows, [x for v in basis for x in v], d), comp

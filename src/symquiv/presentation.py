@@ -150,13 +150,17 @@ def _top(q: Quiver, dim, mats) -> List[Tuple[int, int]]:
     """The (vertex, coordinate) pairs spanning a complement of the radical
     of the module with dimensions ``dim`` and arrow maps ``mats``: at each
     vertex, the coordinates outside the pivots of the images of the arrows
-    into it, taken by name."""
+    into it, taken by name.  A vertex of dimension 0 has none, and an arrow
+    from a vertex of dimension 0 has no image."""
     out = []
     for x in q.vertices:
-        arrows_in = sorted(q.arrows_into(x), key=lambda a: a.name)
-        rad = (RationalMatrix.block([[mats[a.name] for a in arrows_in]]) if arrows_in
-               else RationalMatrix.zero(dim[x], 0))
-        out.extend((x, i) for i in column_space_complement(rad)[1])
+        if not dim[x]:
+            continue
+        images = [mats[a.name] for a in sorted(q.arrows_into(x), key=lambda a: a.name)
+                  if dim[a.tail]]
+        free = (column_space_complement(RationalMatrix.block([images]))[1] if images
+                else range(dim[x]))
+        out.extend((x, i) for i in free)
     return out
 
 

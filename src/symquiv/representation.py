@@ -293,17 +293,20 @@ def identity_group_element(sq: SymmetricQuiver, flavor: str,
 
 
 def _random_sl(rng, n: int) -> RationalMatrix:
-    """Product of elementary transvections; determinant exactly one."""
-    m = RationalMatrix.identity(n)
-    for _ in range(2 * n + 2):
+    """Product of the elementary transvections I + c e_ij of 2n + 2 draws
+    of (i, j), none where i = j; determinant exactly one.  Each factor acts
+    on the right as the column operation column j += c column i, on int
+    rows.  At n = 0 nothing is drawn."""
+    rows = [[int(r == s) for s in range(n)] for r in range(n)]
+    for _ in range(2 * n + 2 if n else 0):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        t = [int(r == s) for r in range(n) for s in range(n)]
-        t[i * n + j] = rng.randint(-3, 3)
-        m = m * RationalMatrix._from_ints(n, n, t)
-    return m
+        c = rng.randint(-3, 3)
+        for row in rows:
+            row[j] += c * row[i]
+    return RationalMatrix._from_ints(n, n, [x for row in rows for x in row])
 
 
 def _cayley(s: RationalMatrix) -> RationalMatrix:

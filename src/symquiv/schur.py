@@ -35,15 +35,6 @@ def height(p: Partition) -> int:
     return len(p)
 
 
-def conjugate(p: Partition) -> Partition:
-    if not p:
-        return ()
-    out = []
-    for j in range(1, p[0] + 1):
-        out.append(sum(1 for x in p if x >= j))
-    return tuple(out)
-
-
 def contains(outer: Partition, inner: Partition) -> bool:
     if len(inner) > len(outer):
         return False
@@ -55,7 +46,10 @@ def has_even_rows(p: Partition) -> bool:
 
 
 def has_even_columns(p: Partition) -> bool:
-    return has_even_rows(conjugate(p))
+    """Whether every column of the diagram has even length: the nonzero
+    parts come in equal pairs."""
+    q = [x for x in p if x]
+    return len(q) % 2 == 0 and all(q[i] == q[i + 1] for i in range(0, len(q), 2))
 
 
 def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:

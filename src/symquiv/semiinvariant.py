@@ -13,8 +13,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
                      NotFiniteType, NotSquare, NotSkewSymmetric, NotTame,
                      OddSymplecticDimension, PatternNotFound, ValidationError)
-from .linalg import (_check_skew, _det_int, _interpolate_int, _pf_int, determinant,
-                     pfaffian)
+from .linalg import (RationalMatrix, _check_skew, _det_int, _interpolate_int, _pf_int,
+                     determinant, pfaffian)
 from .presentation import PathMatrix, evaluate_template, minimal_presentation
 from .quiver import DimensionVector, Quiver, euler_form
 from .representation import (Representation, StructuredRepresentation,
@@ -167,7 +167,24 @@ def pencil_coefficients(pencil: Pencil, w: StructuredRepresentation, kind: str) 
     return {i: c for i, c in enumerate(_interpolate_int(values, den ** degree)) if c}
 
 
-class _SeededPoints(Sequence):
+class _Lazy(Sequence):
+    """The values f(0), ..., f(n - 1), each computed on first use and then
+    kept."""
+
+    def __init__(self, f, n: int):
+        self._f = f
+        self._values: List = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, k: int):
+        if self._values[k] is None:
+            self._values[k] = self._f(k)
+        return self._values[k]
+
+
+class _SeededPoints(_Lazy):
     """The decision points of one enumeration: the structured
     representations of one dimension vector at seeds 5000..5007, each drawn
     on first use and then kept, so that every decision of the enumeration
@@ -180,16 +197,14 @@ class _SeededPoints(Sequence):
     SEEDS = range(5000, 5008)
 
     def __init__(self, sq: SymmetricQuiver, flavor: str, beta):
-        self._draw = lambda seed: random_structured(sq, flavor, beta, seed=seed)
-        self._points: List[Optional[StructuredRepresentation]] = [None] * len(self.SEEDS)
+        super().__init__(lambda k: random_structured(sq, flavor, beta, seed=self.SEEDS[k]),
+                         len(self.SEEDS))
 
-    def __len__(self) -> int:
-        return len(self.SEEDS)
 
-    def __getitem__(self, k: int) -> StructuredRepresentation:
-        if self._points[k] is None:
-            self._points[k] = self._draw(self.SEEDS[k])
-        return self._points[k]
+def _evaluations(t: PathMatrix, points) -> _Lazy:
+    """The matrices of the template at the points, each evaluated on first
+    use and then kept."""
+    return _Lazy(lambda k: evaluate_template(t, points[k].full()), len(points))
 
 
 def _is_skew(rows: List[List[int]], signs: List[int]) -> bool:
@@ -205,14 +220,14 @@ def _is_skew(rows: List[List[int]], signs: List[int]) -> bool:
     return True
 
 
-def _skew_search(heights: List[int], perms, evaluations) -> Optional[Tuple]:
+def _skew_search(heights: List[int], perms, matrices) -> Optional[Tuple]:
     """The first (perm, signs), perm from ``perms`` and signs from
-    product((1, -1)), such that every evaluated matrix is skew-symmetric
-    once its row strips (of the given heights) are put in the order perm
-    and multiplied by signs.
+    product((1, -1)), such that every matrix of ``matrices`` is
+    skew-symmetric once its row strips (of the given heights) are put in
+    the order perm and multiplied by signs.
 
-    ``evaluations`` are the callables returning the square matrices; each
-    is called once, on the first candidate that passes all before it.
+    ``matrices`` is a sequence of square matrices; the k-th is read once,
+    on the first candidate that passes all before it.
     """
     starts = list(accumulate([0] + heights))
     evaluated: List[List[List[int]]] = []
@@ -221,7 +236,7 @@ def _skew_search(heights: List[int], perms, evaluations) -> Optional[Tuple]:
         """The numerator rows of the k-th matrix: skew symmetry does not
         depend on the positive common denominator."""
         if k == len(evaluated):
-            evaluated.append(evaluations[k]().int_rows())
+            evaluated.append(matrices[k].int_rows())
         return evaluated[k]
 
     for perm in perms:
@@ -229,9 +244,43 @@ def _skew_search(heights: List[int], perms, evaluations) -> Optional[Tuple]:
         for signs in iproduct((1, -1), repeat=len(heights)):
             row_signs = [s for p, s in zip(perm, signs) for _ in range(heights[p])]
             if all(_is_skew([rows(k)[i] for i in order], row_signs)
-                   for k in range(len(evaluations))):
+                   for k in range(len(matrices))):
                 return perm, signs
     return None
+
+
+def _skew_order(t: PathMatrix, dim, matrices) -> Optional[Tuple]:
+    """The (perm, signs) of ``_skew_search`` for the template's row strips
+    at dimension vector ``dim``, given its matrices at the witnesses; None
+    when there is none or the template has more than four rows or does not
+    evaluate to an even square matrix (then no matrix is read)."""
+    rows = len(t.rows)
+    if rows > 4:
+        return None
+    heights = [dim[v] for v in t.rows]
+    size = sum(heights)
+    if size != sum(dim[v] for v in t.cols) or size % 2:
+        return None
+    return _skew_search(heights, permutations(range(rows)), matrices)
+
+
+def _arrange_template(t: PathMatrix, perm, signs) -> PathMatrix:
+    """The template with its rows in the order perm, multiplied by signs."""
+    return PathMatrix(t.quiver, [t.rows[i] for i in perm], list(t.cols),
+                      [[{p: Fraction(s) * v for p, v in e.items()} for e in t.entries[i]]
+                       for i, s in zip(perm, signs)])
+
+
+def _arrange_matrix(m: RationalMatrix, heights: List[int], perm, signs) -> RationalMatrix:
+    """The matrix with its row strips (of the given heights) in the order
+    perm, multiplied by signs: where m is the matrix of t, the matrix of
+    ``_arrange_template(t, perm, signs)``, over the same denominator, since
+    neither row order nor sign changes a gcd."""
+    starts = list(accumulate([0] + heights))
+    c = m.cols
+    num = [s * x for p, s in zip(perm, signs)
+           for x in m.num[starts[p] * c:starts[p + 1] * c]]
+    return RationalMatrix._from_ints(m.rows, c, num, m.den)
 
 
 def skew_normalize_template(t: PathMatrix, witnesses) -> Optional[PathMatrix]:
@@ -244,23 +293,8 @@ def skew_normalize_template(t: PathMatrix, witnesses) -> Optional[PathMatrix]:
     pins the sign of the template's Pfaffian.  The template is evaluated at
     most once per witness; the candidates permute its evaluated rows.
     """
-    rows = len(t.rows)
-    if rows > 4:
-        return None
-    dim = witnesses[0].dim
-    heights = [dim[v] for v in t.rows]
-    size = sum(heights)
-    if size != sum(dim[v] for v in t.cols) or size % 2:
-        return None
-    found = _skew_search(heights, permutations(range(rows)),
-                         [lambda k=k: evaluate_template(t, witnesses[k].full())
-                          for k in range(len(witnesses))])
-    if found is None:
-        return None
-    perm, signs = found
-    return PathMatrix(t.quiver, [t.rows[i] for i in perm], list(t.cols),
-                      [[{p: Fraction(s) * v for p, v in e.items()} for e in t.entries[i]]
-                       for i, s in zip(perm, signs)])
+    found = _skew_order(t, witnesses[0].dim, _evaluations(t, witnesses))
+    return None if found is None else _arrange_template(t, *found)
 
 
 def is_pfaffian_type(t: PathMatrix, sq: SymmetricQuiver, flavor: str, beta) -> bool:
@@ -268,16 +302,22 @@ def is_pfaffian_type(t: PathMatrix, sq: SymmetricQuiver, flavor: str, beta) -> b
     return skew_normalize_template(t, _SeededPoints(sq, flavor, beta)) is not None
 
 
-def _dedup_values(desc: GeneratorDescriptor,
-                  points: _SeededPoints) -> Optional[Tuple[Fraction, ...]]:
-    """The candidate's values at points 0-1, which the duplicate test
+def _values(kind: str, matrices) -> _Lazy:
+    """The det or pf (``kind``) of each matrix, computed on first use."""
+    kernel = pfaffian if kind == "pf" else determinant
+    return _Lazy(lambda k: kernel(matrices[k]), len(matrices))
+
+
+def _dedup_values(values) -> Optional[Tuple[Fraction, ...]]:
+    """A candidate's values at points 0-1, which the duplicate test
     compares, when it is nonzero at one of points 0-2; None when it
     vanishes at all three or does not evaluate to a square (skew) matrix.
-    The candidate is evaluated at most once per point."""
+    ``values`` are the candidate's values at the points, computed on
+    first use."""
     try:
-        values = (desc.evaluate(points[0]), desc.evaluate(points[1]))
-        if any(values) or desc.evaluate(points[2]) != 0:
-            return values
+        pair = (values[0], values[1])
+        if any(pair) or values[2] != 0:
+            return pair
     except (NotSquare, NotSkewSymmetric):
         pass
     return None
@@ -370,10 +410,10 @@ def _skew_normalize_pencil(pen: Pencil, witnesses) -> Optional[Pencil]:
     """The pencil with the first row sign vector making it skew at t = 2 and
     3 on the first two witnesses; each of the four matrices is evaluated
     once."""
+    matrices = _Lazy(lambda i: evaluate_template(pen.combine(Fraction(2 + i % 2), Fraction(1)),
+                                                 witnesses[i // 2].full()), 4)
     found = _skew_search([witnesses[0].dim[v] for v in pen.rows], [range(len(pen.rows))],
-                         [lambda k=k, t=t: evaluate_template(pen.combine(Fraction(t), Fraction(1)),
-                                                             witnesses[k].full())
-                          for k in (0, 1) for t in (2, 3)])
+                         matrices)
     return None if found is None else replace(pen, signs=found[1])
 
 
@@ -401,13 +441,38 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
     points = _SeededPoints(sq, flavor, d)
     out: List[Tuple[GeneratorDescriptor, Tuple[Fraction, ...]]] = []
 
-    def keep_if_nonzero(desc: GeneratorDescriptor) -> bool:
+    def keep_if_nonzero(desc: GeneratorDescriptor, values) -> None:
+        """Keep the candidate if it is nonzero at points 0-2; ``values`` are
+        its values at the points, computed on first use."""
         if _is_empty(desc.template, d):
-            return False
-        values = _dedup_values(desc, points)
-        if values is not None:
-            out.append((desc, values))
-        return values is not None
+            return
+        pair = _dedup_values(values)
+        if pair is not None:
+            out.append((desc, pair))
+
+    def keep_template(t: PathMatrix, provenance: str, det_fallback: bool) -> None:
+        """Keep the pfaffian of t's skew normalization, or else, with
+        ``det_fallback``, the determinant of t, if nonzero.  The skew search
+        and the nonzero and duplicate tests read one evaluation of t per
+        point: the pfaffian's matrices are t's with their row strips
+        arranged, the determinant's are t's own."""
+        matrices = _evaluations(t, points)
+        found = _skew_order(t, d, matrices)
+        if found is not None:
+            # the normalized template is t with its row strips permuted and
+            # signed, so det(t) = +-pf(normalized)^2 vanishes at points 0-2
+            # whenever that pf does: t needs no det candidate
+            normalized = _arrange_template(t, *found)
+            heights = [d[v] for v in t.rows]
+            keep_if_nonzero(GeneratorDescriptor(
+                "pf", template_weight(sq, normalized, half=True), provenance,
+                template=normalized),
+                _values("pf", _Lazy(lambda k: _arrange_matrix(matrices[k], heights, *found),
+                                    len(points))))
+        elif det_fallback and size(t.rows) == size(t.cols):
+            keep_if_nonzero(GeneratorDescriptor(
+                "det", template_weight(sq, t), provenance, template=t),
+                _values("det", matrices))
 
     # the coefficient family of the parameter pencil
     pen = pencil_templates(sq)
@@ -430,11 +495,7 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
                         tuple(c.get(i, Fraction(0)) for c in coefficients)))
     # the extra skew singleton of the free central symmetry family
     if st.tag == "A00":
-        normalized = skew_normalize_template(pf_singleton_template(sq), points)
-        if normalized is not None:
-            keep_if_nonzero(GeneratorDescriptor(
-                "pf", template_weight(sq, normalized, half=True), "skew-singleton",
-                template=normalized))
+        keep_template(pf_singleton_template(sq), "skew-singleton", det_fallback=False)
     # arc generators
     for lp in dec.labelled:
         poly = lp.polygon
@@ -448,29 +509,17 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
             else:
                 gen_length = arc.length - 1
             t = minimal_presentation(realize_interval(sq, poly.name, arc.start, gen_length))
-            provenance = "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length)
-            normalized = skew_normalize_template(t, points)
-            if normalized is not None:
-                # normalized is t with its row strips permuted and signed, so
-                # det(t) = +-pf(normalized)^2 vanishes at points 0-2 whenever
-                # that pf does: t needs no det candidate
-                keep_if_nonzero(GeneratorDescriptor(
-                    "pf", template_weight(sq, normalized, half=True), provenance,
-                    template=normalized))
-            elif size(t.rows) == size(t.cols):
-                keep_if_nonzero(GeneratorDescriptor(
-                    "det", template_weight(sq, t), provenance, template=t))
+            keep_template(t, "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length),
+                          det_fallback=True)
     # each sigma-fixed arrow contributes its own determinant or pfaffian;
     # these coincide with arc modules or pencil extremes in the smallest
     # cases, and the deduplication below drops the overlap
     for fname in sq.a_fixed:
-        arrow = sq.base.arrow_by_name[fname]
-        if flavor == ORTHOGONAL:
-            if d[arrow.tail] % 2:
-                continue
-            keep_if_nonzero(_single_arrow_descriptor(sq, fname, "pf", label="arrow"))
-        else:
-            keep_if_nonzero(_single_arrow_descriptor(sq, fname, "det", label="arrow"))
+        if flavor == ORTHOGONAL and d[sq.base.arrow_by_name[fname].tail] % 2:
+            continue
+        desc = _single_arrow_descriptor(sq, fname, "pf" if flavor == ORTHOGONAL else "det",
+                                        label="arrow")
+        keep_if_nonzero(desc, _values(desc.kind, _evaluations(desc.template, points)))
     # drop duplicates: same weight and same values at points 0-1
     seen = set()
     deduped = []

@@ -366,6 +366,17 @@ def test_pencil_solved_once_per_point(tmp_path, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("qfile,dim,flavor", [
+    ("a4.qv", "0,1,1,0", "sp"), ("a4.qv", "0,2,2,0", "o"),
+    ("a201_22.qv", "0,0,1,0,0,1", "sp"), ("a201_22.qv", "1,0,2,1,0,2", "o")])
+def test_invariance_check_with_a_zero_dimensional_positive_vertex(qfile, dim, flavor):
+    """A group element draws nothing for a positive vertex of dimension 0."""
+    args = ("generators", "-q", str(FIX / qfile), "--dim", dim, "--flavor", flavor)
+    code, plain = run_cli(*args)
+    assert code == 0
+    assert run_cli(*args, "--check-invariance", "1") == (0, plain)
+
+
 def test_generators_tame_solves_pencil_twice(monkeypatch):
     """One enumeration solves its pencil at two points: the points of index
     discovery also decide the duplicates."""

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from symquiv.errors import NotSkewSymmetric, OddDimension, ValidationError
-from symquiv.linalg import (RationalMatrix, _interpolate_int, column_space_complement,
+from symquiv.linalg import (RationalMatrix, _eliminate, _interpolate_int, _kernel,
+                            column_space_complement,
                             determinant, interpolate_polynomial, inverse, kernel_basis, linalg_kit,
                             pfaffian, rank, rref, solve)
 
@@ -369,3 +370,18 @@ def test_float_entries_raise_type_error():
     assert m == RationalMatrix.identity(2)
     # ints (bool included) and Fractions are the exact entries
     assert RationalMatrix(1, 3, [True, 2, Fraction(1, 2)]).data == [1, 2, Fraction(1, 2)]
+
+
+def test_column_space_complement_of_an_empty_shape_is_the_elimination():
+    """A matrix with no rows or no columns skips the elimination; the
+    result is what the elimination of its transpose gives."""
+    for r in range(7):
+        for c in range(7):
+            if r and c:
+                continue
+            m = RationalMatrix.zero(r, c)
+            a, pivots, _, d = _eliminate(m.transpose().int_rows())
+            basis, comp = _kernel(a, pivots, d, r)
+            want = RationalMatrix._from_ints(len(comp), r, [x for v in basis for x in v], d)
+            assert column_space_complement(m) == (want, comp), (r, c)
+            assert comp == list(range(r))

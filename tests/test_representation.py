@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symquiv import families
+from symquiv import families, representation
 from symquiv.errors import ValidationError
 from symquiv.linalg import RationalMatrix, determinant
 from symquiv.quiver import DimensionVector, Quiver, euler_form
@@ -239,3 +239,34 @@ def test_matrix_for_an_unknown_arrow_is_rejected():
     q = families.symmetric_a(2).base
     with pytest.raises(ValidationError, match="b1"):
         Representation(q, DimensionVector({1: 1, 2: 1}), {"b1": RationalMatrix.identity(1)})
+
+
+def product_random_sl(rng, n: int) -> RationalMatrix:
+    """The product of the drawn transvections, one n x n product per factor
+    (the form _random_sl had before it applied each factor as a column
+    operation; test oracle)."""
+    m = RationalMatrix.identity(n)
+    for _ in range(2 * n + 2):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        t = [int(r == s) for r in range(n) for s in range(n)]
+        t[i * n + j] = rng.randint(-3, 3)
+        m = m * RationalMatrix._from_ints(n, n, t)
+    return m
+
+
+def test_random_sl_is_the_product_of_its_transvections():
+    for n in range(1, 17):
+        for seed in range(50):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            assert representation._random_sl(rng, n) == product_random_sl(oracle_rng, n)
+            assert rng.random() == oracle_rng.random()      # the same draws
+
+
+def test_random_sl_of_size_zero_draws_nothing():
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert representation._random_sl(rng, 0) == RationalMatrix.zero(0, 0)
+    assert rng.getstate() == state

@@ -12,7 +12,7 @@ from symquiv.linalg import RationalMatrix, rank
 from symquiv.quiver import DimensionVector, Quiver, null_root
 from symquiv.representation import random_structured
 from symquiv.schur import (Partition, _fixed_vertex_rule, _subrectangle_partitions,
-                           classical_invariant_dim, conjugate, contains, has_even_columns,
+                           classical_invariant_dim, contains, has_even_columns,
                            has_even_rows, lr_coefficient, normalize_partition,
                            pair_semiinvariant_dim, rectangle_complement,
                            rectangle_tensor, shifted_by_constant, size, weight_space_dim)
@@ -45,6 +45,13 @@ def partitions_of(n: int, max_part: Optional[int] = None,
 
     rec(n, max_part, [])
     return out
+
+
+def conjugate(p: Partition) -> Partition:
+    """The transposed diagram: part j counts the parts of p that are >= j."""
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
 
 
 def brute_lr(lam, mu, nu):
@@ -710,3 +717,15 @@ def test_subrectangle_partitions_size_guard():
     assert all(len(q) <= 7 and all(0 < x <= 14 for x in q) and
                all(a >= b for a, b in zip(q, q[1:])) for q in box)
     assert elapsed < 0.5, elapsed
+
+
+def test_has_even_columns_is_the_pairwise_rule():
+    """The nonzero parts in equal pairs, against the even rows of the
+    conjugate, on every weakly decreasing vector of the 9 x 9 box."""
+    box = list(itertools.combinations_with_replacement(range(9, -1, -1), 9))
+    assert len(box) == 48620
+    even = 0
+    for p in box:
+        assert has_even_columns(p) == has_even_rows(conjugate(p)), p
+        even += has_even_columns(p)
+    assert 0 < even < len(box)

@@ -51,22 +51,23 @@ def test_no_det_candidate_after_a_skew_normalization(monkeypatch):
     pfaffian only: its determinant is +-that pfaffian squared, so it vanishes
     at the decision points whenever the pfaffian does."""
     normalized, candidates = [], []
-    search, dedup = semiinvariant.skew_normalize_template, semiinvariant._dedup_values
+    order, descriptor = semiinvariant._skew_order, semiinvariant.GeneratorDescriptor
 
-    def recording_search(t, witnesses):
-        found = search(t, witnesses)
+    def recording_order(t, dim, matrices):
+        found = order(t, dim, matrices)
         if found is not None:
             normalized.append(t)
         return found
 
-    def recording_dedup(desc, points):
-        candidates.append(desc)
-        return dedup(desc, points)
+    def recording_descriptor(*args, **kwargs):
+        candidates.append(descriptor(*args, **kwargs))
+        return candidates[-1]
 
-    monkeypatch.setattr(semiinvariant, "skew_normalize_template", recording_search)
-    monkeypatch.setattr(semiinvariant, "_dedup_values", recording_dedup)
+    monkeypatch.setattr(semiinvariant, "_skew_order", recording_order)
+    monkeypatch.setattr(semiinvariant, "GeneratorDescriptor", recording_descriptor)
     d = DimensionVector({1: 5, 2: 5, 3: 8, 4: 5, 5: 5})
     assert generators_tame(families.d01(3), d, SYMPLECTIC) and normalized
+    assert any(c.kind == "det" and c.template is not None for c in candidates)
     assert [c.provenance for c in candidates
             if c.kind == "det" and any(c.template is t for t in normalized)] == []
 

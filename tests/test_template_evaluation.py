@@ -358,21 +358,56 @@ def test_generators_tame_draws_each_point_once(monkeypatch):
 
 
 def test_generators_tame_evaluates_each_candidate_once_per_point(monkeypatch):
-    calls = []
-    evaluate = semiinvariant.GeneratorDescriptor.evaluate
-    monkeypatch.setattr(semiinvariant.GeneratorDescriptor, "evaluate",
-                        lambda g, w: calls.append((g, w)) or evaluate(g, w))
+    """The nonzero and duplicate tests read each candidate's value at points
+    0-2 at most, and each value is computed once: the det or pf kernel runs
+    once per (candidate, point) read."""
+    reads, kernels = [], []
+    dedup = semiinvariant._dedup_values
+
+    class Recorded:
+        def __init__(self, values):
+            self.values = values
+
+        def __getitem__(self, k):
+            reads.append((self, k))
+            return self.values[k]
+
+    def recording_kernel(kernel):
+        return lambda m: kernels.append(m) or kernel(m)
+
+    monkeypatch.setattr(semiinvariant, "_dedup_values", lambda values: dedup(Recorded(values)))
+    for name in ("determinant", "pfaffian"):
+        monkeypatch.setattr(semiinvariant, name, recording_kernel(getattr(semiinvariant, name)))
     most = 0
+    for sq, d, flavor in family_cases():
+        del reads[:], kernels[:]
+        generators_tame(sq, d, flavor)
+        assert reads
+        assert len(set(reads)) == len(reads) == len(kernels)   # reads keeps every object alive
+        per_candidate = {}
+        for candidate, k in reads:
+            per_candidate.setdefault(candidate, set()).add(k)
+        assert all(points <= {0, 1, 2} for points in per_candidate.values())
+        most = max(most, max(map(len, per_candidate.values())))
+    assert most == 3                          # some candidate vanished at points 0-1
+
+
+def test_generators_tame_evaluates_each_template_once_per_point(monkeypatch):
+    """Within one enumeration no template object is evaluated twice at the
+    same point: the skew search and the nonzero and duplicate tests share
+    one evaluation per template and point."""
+    calls = []
+    evaluate = semiinvariant.evaluate_template
+    monkeypatch.setattr(semiinvariant, "evaluate_template",
+                        lambda t, w: calls.append((t, w)) or evaluate(t, w))
+    total = 0
     for sq, d, flavor in family_cases():
         del calls[:]
         generators_tame(sq, d, flavor)
-        assert calls
-        pairs = {(id(g), id(w)) for g, w in calls}    # calls keeps every object alive
-        assert len(pairs) == len(calls)
-        points = len({id(w) for _, w in calls})
-        assert points <= 3
-        most = max(most, points)
-    assert most == 3                          # some candidate vanished at points 0-1
+        pairs = {(id(t), id(w)) for t, w in calls}     # calls keeps every object alive
+        assert len(pairs) == len(calls), (sq.base.name, d, flavor)
+        total += len(calls)
+    assert total
 
 
 def test_enumerations_do_not_depend_on_their_order():
