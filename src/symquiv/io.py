@@ -146,7 +146,13 @@ def parse_representation(text: str, sq: SymmetricQuiver) -> StructuredRepresenta
             elif key == "dim":
                 for tok in parts[1:]:
                     v, d = tok.split("=")
-                    dims[int(v)] = int(d)
+                    v = int(v)
+                    if v not in sq.base.vertices:
+                        raise ParseError("dim names vertex %d, which %s lacks"
+                                         % (v, sq.base.name))
+                    if v in dims:
+                        raise ParseError("dim names vertex %d twice" % v)
+                    dims[v] = int(d)
             elif key == "mat":
                 arrow = parts[1]
                 r, c = parts[2].split("x")
@@ -164,6 +170,8 @@ def parse_representation(text: str, sq: SymmetricQuiver) -> StructuredRepresenta
                 raise ParseError("unknown directive %r" % key)
         except (IndexError, ValueError) as exc:
             raise ParseError("bad line %r" % line) from exc
+    if not dims:
+        raise ParseError("representation file has no dim line")
     dim = DimensionVector({v: dims.get(v, 0) for v in sq.base.vertices})
     plus = {n: m for n, m in mats.items() if n in sq.a_plus}
     fixed = {n: m for n, m in mats.items() if n in sq.a_fixed}

@@ -290,6 +290,20 @@ def kernel_basis(m: RationalMatrix) -> List[List[Fraction]]:
     return _fractions(_kernel(a, pivots, d, m.cols)[0], d)
 
 
+def _complement(columns: List[List[int]], n: int):
+    """``column_space_complement`` on ints: the columns of a matrix with n
+    rows, given as int lists (consumed), each scaled by any positive factor.
+    Returns (proj rows as ints, d, complement indices) with proj = rows / d.
+
+    The result depends only on the span of the columns, so neither their
+    order nor their scale matters."""
+    if not (n and columns):
+        return [[int(i == j) for j in range(n)] for i in range(n)], 1, list(range(n))
+    a, pivots, _, d = _eliminate(columns)
+    basis, comp = _kernel(a, pivots, d, n)
+    return basis, d, comp
+
+
 def column_space_complement(m: RationalMatrix):
     """Deterministic complement data for the column space of ``m``.
 
@@ -304,10 +318,7 @@ def column_space_complement(m: RationalMatrix):
     has no pivots: every coordinate is free and ``proj`` is the identity,
     which is what the elimination would return, read off without it.
     """
-    if not (m.rows and m.cols):
-        return RationalMatrix.identity(m.rows), list(range(m.rows))
-    a, pivots, _, d = _eliminate(m.transpose().int_rows())
-    basis, comp = _kernel(a, pivots, d, m.rows)
+    basis, d, comp = _complement(m.transpose().int_rows(), m.rows)
     return RationalMatrix._from_ints(len(comp), m.rows, [x for v in basis for x in v], d), comp
 
 

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-from .linalg import RationalMatrix, _int_product, column_space_complement
+from .linalg import RationalMatrix, _complement, _int_product, column_space_complement
 from .quiver import DimensionVector, Quiver
 from .representation import Representation
 
@@ -45,43 +45,34 @@ class PathMatrix:
                             "entry path %r must run %r -> %r" % (path, pv, qv))
 
 
-def path_combo(*items) -> PathCombo:
-    """Build a combination; items are paths or (coefficient, path) pairs."""
-    out: PathCombo = {}
-    for it in items:
-        if isinstance(it, tuple) and it and isinstance(it[0], (int, Fraction)):
-            coeff, path = it
-        else:
-            coeff, path = Fraction(1), tuple(it)
-        path = tuple(path)
-        out[path] = out.get(path, Fraction(0)) + Fraction(coeff)
-    return {p: c for p, c in out.items() if c}
-
-
 def evaluate_template(t: PathMatrix, w: Representation) -> RationalMatrix:
     """The block matrix Hom(template, w); block (r, c) maps W(col) to W(row).
 
     The result is always (sum of W at the row vertices) x (sum of W at the
     column vertices), also when either sum is zero.  Path products are
-    formed on ints: each distinct path prefix is multiplied out once from
-    the arrow numerators, each block is an integer combination over its own
-    denominator, and the blocks are written over the lcm of those.
+    formed on ints and kept in one table on ``w`` (the representation never
+    changes): each distinct path prefix is multiplied out once per
+    representation, from the arrow numerators, whichever template asks for
+    it.  Each block is an integer combination over its own denominator, and
+    the blocks are written over the lcm of those.
     """
     dim = w.dim
-    q = t.quiver
-    products: Dict[Path, Tuple[List[List[int]], int]] = {}
+    arrow = w.quiver.arrow_by_name
+    products: Dict[Path, Tuple[List[List[int]], int]] = w.cached("paths", lambda _: {})
 
     def product(path: Path) -> Tuple[List[List[int]], int]:
-        """Int rows n and a denominator d with n / d the matrix of the path."""
-        if path not in products:
+        """Int rows n and a denominator d with n / d the matrix of the path;
+        the rows are read, never changed."""
+        found = products.get(path)
+        if found is None:
             if len(path) == 1:
                 m = w.matrices[path[0]]
-                products[path] = (m.int_rows(), m.den)
+                found = (m.int_rows(), m.den)
             else:
                 (a, da), (n, d) = product(path[-1:]), product(path[:-1])
-                products[path] = (_int_product(a, n, dim[q.arrow_by_name[path[0]].tail]),
-                                  da * d)
-        return products[path]
+                found = (_int_product(a, n, dim[arrow[path[0]].tail]), da * d)
+            products[path] = found
+        return found
 
     heights = [dim[v] for v in t.rows]
     widths = [dim[v] for v in t.cols]
@@ -146,21 +137,20 @@ def _columns(m: RationalMatrix, picks: Sequence[Optional[int]]) -> RationalMatri
     return RationalMatrix._from_ints(m.rows, len(picks), num, m.den)
 
 
-def _top(q: Quiver, dim, mats) -> List[Tuple[int, int]]:
+def _top(q: Quiver, dim, columns) -> List[Tuple[int, int]]:
     """The (vertex, coordinate) pairs spanning a complement of the radical
-    of the module with dimensions ``dim`` and arrow maps ``mats``: at each
-    vertex, the coordinates outside the pivots of the images of the arrows
-    into it, taken by name.  A vertex of dimension 0 has none, and an arrow
-    from a vertex of dimension 0 has no image."""
+    of the module with dimensions ``dim`` whose arrow maps have the int
+    columns ``columns[name]`` (each scaled by any positive factor, and
+    consumed): at each vertex, the coordinates outside the pivots of the
+    images of the arrows into it, taken by name.  A vertex of dimension 0
+    has none, and an arrow from a vertex of dimension 0 has no image."""
     out = []
     for x in q.vertices:
         if not dim[x]:
             continue
-        images = [mats[a.name] for a in sorted(q.arrows_into(x), key=lambda a: a.name)
-                  if dim[a.tail]]
-        free = (column_space_complement(RationalMatrix.block([images]))[1] if images
-                else range(dim[x]))
-        out.extend((x, i) for i in free)
+        images = [col for a in sorted(q.arrows_into(x), key=lambda a: a.name)
+                  if dim[a.tail] for col in columns[a.name]]
+        out.extend((x, i) for i in _complement(images, dim[x])[2])
     return out
 
 
@@ -198,35 +188,50 @@ def minimal_presentation(m: Representation) -> PathMatrix:
     entries and the syzygy's arrow maps re-index them.  The rows of the
     template are the syzygy's generators in the path basis; it evaluates to
     the defining matrix of the determinantal semi-invariant attached to ``m``.
+
+    Everything runs on ints: a path's image in m is an int vector over a
+    denominator, the images at a vertex are brought over their lcm, and each
+    kernel basis is int rows over one denominator.  Fractions are built
+    only for the template's entries.
     """
     q = m.quiver
-    gens = _top(q, m.dim, m.matrices)
+    gens = _top(q, m.dim, {name: a.transpose().int_rows() for name, a in m.matrices.items()})
     p0 = _basis(q, [x for x, _ in gens])
+    arrows = {name: (a.int_rows(), a.den) for name, a in m.matrices.items()}
     # the image in m of each basis path, formed from its prefix
-    images: Dict[Tuple[int, Path], List[Fraction]] = {}
+    images: Dict[Tuple[int, Path], Tuple[List[int], int]] = {}
     for c, path in sorted((item for z in q.vertices for item in p0[z]),
                           key=lambda item: len(item[1])):
         if path:
-            images[c, path] = m.matrices[path[-1]].apply(images[c, path[:-1]])
+            (v, d), (a, da) = images[c, path[:-1]], arrows[path[-1]]
+            images[c, path] = ([sum(x * y for x, y in zip(row, v) if y) for row in a], d * da)
         else:
             x, i = gens[c]
-            images[c, path] = [Fraction(int(k == i)) for k in range(m.dim[x])]
+            images[c, path] = ([int(k == i) for k in range(m.dim[x])], 1)
     kernel, free = {}, {}
     for z in q.vertices:
-        rows = [images[item] for item in p0[z]]
-        kernel[z], free[z] = column_space_complement(
-            RationalMatrix(len(rows), m.dim[z], [x for row in rows for x in row]))
-    karrows = {}
+        at_z = [images[item] for item in p0[z]]
+        den = lcm(*(d for _, d in at_z))
+        # column j: coordinate j of every image at z, over den
+        columns = [list(col) for col in zip(*([x * (den // d) for x in v] for v, d in at_z))]
+        basis, d, free[z] = _complement(columns, len(at_z))
+        kernel[z] = (basis, d)
+    # the syzygy's arrow maps, by their columns: a kernel vector at the tail,
+    # re-indexed to the free coordinates at the head
+    syzygy_columns = {}
     for a in q.arrows:
         back = {j: i for i, j in enumerate(_shift(p0, a))}
-        karrows[a.name] = _columns(kernel[a.tail], [back.get(j) for j in free[a.head]]).transpose()
+        picks = [back.get(j) for j in free[a.head]]
+        syzygy_columns[a.name] = [[0 if i is None else k[i] for i in picks]
+                                  for k in kernel[a.tail][0]]
     rows: List[int] = []
     entries: List[List[PathCombo]] = []
-    for y, k in _top(q, {z: len(free[z]) for z in q.vertices}, karrows):
+    for y, k in _top(q, {z: len(free[z]) for z in q.vertices}, syzygy_columns):
+        basis, d = kernel[y]
         entry: List[PathCombo] = [{} for _ in gens]
-        for (c, path), coeff in zip(p0[y], kernel[y].row(k)):
-            if coeff:
-                entry[c][path] = coeff
+        for (c, path), x in zip(p0[y], basis[k]):
+            if x:
+                entry[c][path] = Fraction(x, d)
         rows.append(y)
         entries.append(entry)
     return PathMatrix(q, rows, [x for x, _ in gens], entries)

@@ -198,10 +198,6 @@ class DimensionVector(Frozen):
     def zero(cls, quiver: Quiver) -> "DimensionVector":
         return cls({v: 0 for v in quiver.vertices})
 
-    @classmethod
-    def unit(cls, quiver: Quiver, x: int) -> "DimensionVector":
-        return cls.zero(quiver).replace(x, 1)
-
     def replace(self, x: int, value: int) -> "DimensionVector":
         """The same vector with the entry at x set to value."""
         vals = dict(self._values)

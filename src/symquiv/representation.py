@@ -23,10 +23,12 @@ class Representation(Frozen):
 
     Immutable: ``matrices`` is a read-only view of matrices, which never
     change.  Arrows missing from ``matrices`` get zero matrices; a key that
-    names no arrow is an error.
+    names no arrow is an error.  Values derived from the matrices (the path
+    products of ``presentation.evaluate_template``) are kept through
+    :meth:`cached`.
     """
 
-    __slots__ = ("quiver", "dim", "matrices")
+    __slots__ = ("quiver", "dim", "matrices", "_memo")
 
     def __init__(self, quiver: Quiver, dim: DimensionVector,
                  matrices: Mapping[str, RationalMatrix]):
@@ -42,7 +44,7 @@ class Representation(Frozen):
                 raise ShapeMismatch(
                     "matrix for %s must be %dx%d" % (a.name, dim[a.head], dim[a.tail]))
             mats[a.name] = m
-        self._init(quiver=quiver, dim=dim, matrices=MappingProxyType(mats))
+        self._init(quiver=quiver, dim=dim, matrices=MappingProxyType(mats), _memo={})
 
     @classmethod
     def thin(cls, quiver: Quiver, support: Iterable[int]) -> "Representation":
@@ -285,13 +287,6 @@ class GroupElement:
     fixed_blocks: Dict[int, RationalMatrix]  # form-preserving at fixed vertices
 
 
-def identity_group_element(sq: SymmetricQuiver, flavor: str,
-                           dim: DimensionVector) -> GroupElement:
-    blocks = {x: RationalMatrix.identity(dim[x]) for x in sq.v_plus}
-    fixed = {x: RationalMatrix.identity(dim[x]) for x in sq.v_fixed}
-    return GroupElement(sq, flavor, blocks, fixed)
-
-
 def _random_sl(rng, n: int) -> RationalMatrix:
     """Product of the elementary transvections I + c e_ij of 2n + 2 draws
     of (i, j), none where i = j; determinant exactly one.  Each factor acts
@@ -337,12 +332,6 @@ def random_group_element(sq: SymmetricQuiver, flavor: str, dim: DimensionVector,
     blocks = {x: _random_sl(rng, dim[x]) for x in sq.v_plus}
     fixed = {x: _random_form_preserving(rng, flavor, dim[x]) for x in sq.v_fixed}
     return GroupElement(sq, flavor, blocks, fixed)
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    blocks = {x: g.blocks[x] * h.blocks[x] for x in g.blocks}
-    fixed = {x: g.fixed_blocks[x] * h.fixed_blocks[x] for x in g.fixed_blocks}
-    return GroupElement(g.sq, g.flavor, blocks, fixed)
 
 
 def act(g: GroupElement, sr: StructuredRepresentation) -> StructuredRepresentation:

@@ -200,12 +200,6 @@ class CanonicalDecomposition:
     p: int
     labelled: List[LabelledPolygon]
 
-    def labels_of(self, name: str) -> List[int]:
-        for lp in self.labelled:
-            if lp.polygon.name == name:
-                return lp.labels
-        raise IndexOutOfOrbit("no polygon named %r" % name)
-
 
 def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector) -> CanonicalDecomposition:
     """Unique expression of a regular symmetric vector as a multiple of the
@@ -717,7 +711,7 @@ def realize_interval(sq: SymmetricQuiver, poly_name: str, start: int,
     poly = tau_orbits(sq).by_name(poly_name)
     r = poly.rank
     if st.tag.startswith("A"):
-        order, s, rho, eps = _find_tiling(sq, poly)
+        order, s, rho, eps = sq.cached(("tiling", poly_name), lambda sq: _find_tiling(sq, poly))
         lens = [sum(e.values.values()) for e in poly.dims]
         prefix = [0]
         for t in range(r):

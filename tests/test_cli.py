@@ -121,6 +121,29 @@ def test_generators_deterministic_and_invariant():
     assert len(out1.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("text", [
+    "rep A201_0_0\nflavor sp\ndim 7=2 8=2\n",           # vertices the quiver lacks
+    "rep A201_0_0\nflavor sp\ndim 1=2 2=2 1=0\n",       # a vertex given twice
+    "rep A201_0_0\nflavor sp\ndim 1=2\ndim 2=2 1=2\n",
+    "rep A201_0_0\nflavor sp\n",                         # no dim line
+    "",
+], ids=["unknown-vertex", "repeated-vertex", "repeated-across-lines", "no-dim", "empty"])
+def test_evaluate_rejects_a_rep_file_that_would_be_the_zero_representation(
+        text, tmp_path, capsys):
+    code, gens = run_cli("generators", "-q", str(FIX / "a201_00.qv"),
+                         "--dim", "2,2", "--flavor", "sp", "--json-lines")
+    assert code == 0
+    gen_file, rep_file = tmp_path / "gens.jsonl", tmp_path / "w.rep"
+    gen_file.write_text(gens)
+    rep_file.write_text(text)
+    capsys.readouterr()
+    code, out = run_cli("evaluate", "-q", str(FIX / "a201_00.qv"),
+                        "--rep", str(rep_file), "--gen-file", str(gen_file))
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "dim" in err
+
+
 def test_generators_and_evaluate_pipeline(tmp_path):
     code, gen_out = run_cli("generators", "-q", str(FIX / "a201_00.qv"),
                             "--dim", "2,2", "--flavor", "sp", "--json-lines")

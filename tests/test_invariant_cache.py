@@ -6,7 +6,7 @@ import random
 import pytest
 
 from symquiv.errors import UnsupportedSymmetricType
-from symquiv import cli, families, io as sqio, quiver, symmetric
+from symquiv import cli, families, io as sqio, quiver, semiinvariant, symmetric, tame
 from symquiv.quiver import DimensionVector, Quiver, null_root
 from symquiv.reflection import MINUS, PLUS, coxeter_dim, reflect_dim
 from symquiv.symmetric import SymmetricQuiver, admissible_sinks, reflect_pair_quiver
@@ -83,6 +83,27 @@ def test_generators_computes_graph_type_once_per_quiver(tmp_path, monkeypatch):
         assert cli.main(argv) == 0
         assert shapes, "the command needs the graph type"
         assert len({id(q) for q in shapes}) == len(shapes)
+
+
+@pytest.mark.parametrize("sq", [families.a201(4, 2), families.a02(4, 2), families.a00(4)],
+                         ids=lambda sq: sq.base.name)
+def test_generators_finds_each_string_tiling_once_per_polygon(sq, tmp_path, monkeypatch):
+    path = tmp_path / "family.quiver"
+    path.write_text(sqio.serialize_quiver(sq))
+    dim = ",".join(str(x) for x in null_root(sq.base).scale(2).as_tuple(sq.base.vertices))
+    tilings, realized = [], []
+    real_tiling, real_realize = tame._find_tiling, semiinvariant.realize_interval
+    monkeypatch.setattr(tame, "_find_tiling",
+                        lambda s, poly: tilings.append((s, poly.name)) or real_tiling(s, poly))
+    monkeypatch.setattr(semiinvariant, "realize_interval",
+                        lambda s, *args: realized.append(args) or real_realize(s, *args))
+    for flavor in ("sp", "o"):
+        del tilings[:], realized[:]
+        assert cli.main(["generators", "-q", str(path), "--dim", dim, "--flavor", flavor]) == 0
+        # tilings keeps every quiver object alive, so no id is reused
+        keys = [(id(s), name) for s, name in tilings]
+        assert len(set(keys)) == len(keys)
+        assert len(realized) > len(keys) > 0
 
 
 def test_unsupported_symmetric_type_is_not_kept():

@@ -8,7 +8,7 @@ from symquiv import families
 from symquiv.linalg import RationalMatrix, column_space_complement, kernel_basis, solve
 from symquiv.presentation import (Path, PathCombo, PathMatrix, evaluate_template,
                                   minimal_presentation,
-                                  module_from_presentation, path_combo)
+                                  module_from_presentation)
 from symquiv.quiver import DimensionVector, Quiver, null_root
 from symquiv.representation import (Representation, dvw_and_homext,
                                     interval_module, random_structured)
@@ -73,9 +73,20 @@ def test_presentation_roundtrip_random_rigid():
     assert back.dim == full.dim
 
 
+def path_combo(*items) -> PathCombo:
+    """Build a combination; items are paths or (coefficient, path) pairs."""
+    out: PathCombo = {}
+    for it in items:
+        if isinstance(it, tuple) and it and isinstance(it[0], (int, Fraction)):
+            coeff, path = it
+        else:
+            coeff, path = Fraction(1), tuple(it)
+        path = tuple(path)
+        out[path] = out.get(path, Fraction(0)) + Fraction(coeff)
+    return {p: c for p, c in out.items() if c}
+
+
 def test_path_combo_helper():
-    from fractions import Fraction
-    from symquiv.presentation import path_combo
     c = path_combo(("a1",), (Fraction(2), ("a1", "a2")), (-1, ("a1",)))
     assert c == {("a1", "a2"): Fraction(2)}
 

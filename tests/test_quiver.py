@@ -23,6 +23,11 @@ def cycle_quiver_alternating(n_vertices):
     return Quiver(range(1, n_vertices + 1), arrows)
 
 
+def unit(q, x):
+    """The unit dimension vector at x."""
+    return DimensionVector.zero(q).replace(x, 1)
+
+
 def kronecker():
     return Quiver([1, 2], [("a", 1, 2), ("b", 1, 2)])
 
@@ -74,8 +79,8 @@ def test_classify_e6():
 
 def test_euler_form_a2():
     q = path_quiver(2)
-    e1 = DimensionVector.unit(q, 1)
-    e2 = DimensionVector.unit(q, 2)
+    e1 = unit(q, 1)
+    e2 = unit(q, 2)
     assert euler_form(q, e1, e2) == -1
     alpha = DimensionVector({1: 1, 2: 1})
     assert euler_form(q, alpha, alpha) == 1
@@ -114,7 +119,7 @@ def test_tits_form_positive_semidefinite_on_euclidean():
             assert tits_form(q, alpha) >= 0
         assert tits_form(q, h) == 0
         for x in q.vertices:
-            assert tits_form(q, h + DimensionVector.unit(q, x)) >= 0
+            assert tits_form(q, h + unit(q, x)) >= 0
 
 
 def test_defect_examples():

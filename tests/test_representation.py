@@ -8,12 +8,24 @@ from symquiv.errors import ValidationError
 from symquiv.linalg import RationalMatrix, determinant
 from symquiv.quiver import DimensionVector, Quiver, euler_form
 from symquiv.representation import (GroupElement, Representation, act,
-                                    check_structured, compose, dvw_and_homext,
-                                    form_matrix, identity_group_element,
-                                    interval_module, random_group_element,
-                                    random_structured)
+                                    check_structured, dvw_and_homext,
+                                    form_matrix, interval_module,
+                                    random_group_element, random_structured)
 from symquiv.semiinvariant import chain_interval_module
-from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC
+from symquiv.symmetric import ORTHOGONAL, SYMPLECTIC, SymmetricQuiver
+
+
+def identity_group_element(sq: SymmetricQuiver, flavor: str,
+                           dim: DimensionVector) -> GroupElement:
+    blocks = {x: RationalMatrix.identity(dim[x]) for x in sq.v_plus}
+    fixed = {x: RationalMatrix.identity(dim[x]) for x in sq.v_fixed}
+    return GroupElement(sq, flavor, blocks, fixed)
+
+
+def compose(g: GroupElement, h: GroupElement) -> GroupElement:
+    blocks = {x: g.blocks[x] * h.blocks[x] for x in g.blocks}
+    fixed = {x: g.fixed_blocks[x] * h.fixed_blocks[x] for x in g.fixed_blocks}
+    return GroupElement(g.sq, g.flavor, blocks, fixed)
 
 
 def random_rep(rng, q, maxdim=3):

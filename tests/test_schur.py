@@ -16,7 +16,7 @@ from symquiv.schur import (Partition, _fixed_vertex_rule, _subrectangle_partitio
                            has_even_rows, lr_coefficient, normalize_partition,
                            pair_semiinvariant_dim, rectangle_complement,
                            rectangle_tensor, shifted_by_constant, size, weight_space_dim)
-from symquiv.semiinvariant import Weight, generators_tame
+from symquiv.semiinvariant import Weight, evaluate_all, generators_tame
 from symquiv.symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver, admissible_sinks,
                                classify_symmetric, reflect_pair_quiver)
 
@@ -551,6 +551,109 @@ def test_generators_fit_the_oracle_beyond_the_old_branches():
                     assert 1 <= got <= dim, (sq.base.name, scale, flavor,
                                              [g.kind for g in gens], got, dim)
     assert characters >= 150
+
+
+# -- the generation theorem ---------------------------------------------------------
+#
+# The listed dets, pfs and pencil coefficients generate the semi-invariant
+# ring.  Each generator is a weight vector of one character (its exponent
+# differences across mirror pairs, at the plus vertices); a functional l
+# that is positive on every generator's character grades the ring, and every
+# monomial in the generators of l-degree at most B x min l(g) is listed.  A
+# character's weight space is then spanned by the monomials of that
+# character, so their rank at seeded points equals the oracle's dimension,
+# and a character that no monomial reaches has dimension 0.
+
+GENERATION_SHAPES = [families.a201(0, 0), families.a201(2, 2), families.a202(2, 0),
+                     families.a02(2, 2), families.a11(0, 2), families.a00(2),
+                     families.a201(4, 2), families.a202(4, 2), families.a02(4, 2),
+                     families.a11(2, 4), families.a00(4)]
+GENERATION_BOUND = 3
+
+
+def generation_cases():
+    for sq in GENERATION_SHAPES:
+        for scale in (1, 2):
+            d = null_root(sq.base).scale(scale)
+            for flavor in (SYMPLECTIC, ORTHOGONAL):
+                if flavor == SYMPLECTIC and any(d[x] % 2 for x in sq.v_fixed):
+                    continue
+                yield sq, d, flavor
+
+
+def generation_mismatches(sq, d, flavor, gens):
+    """(reached, unreached) characters at which the monomials in ``gens``
+    disagree with the oracle; every character has |c_x| <= 2 or is reached
+    by a monomial."""
+    plus = list(sq.v_plus)
+    # a pf's halved weight still has integral exponent differences
+    chars = [tuple(int(c) for _, c in g.weight.character_key(sq)) for g in gens]
+    # the first functional with entries in [-4, 4], in itertools order
+    l = next(l for l in itertools.product(range(-4, 5), repeat=len(plus))
+             if all(sum(a * c for a, c in zip(l, ch)) > 0 for ch in chars))
+    degrees = [sum(a * c for a, c in zip(l, ch)) for ch in chars]
+    # with no generators only the constants are listed, and every other
+    # character of the box must have dimension 0
+    top = GENERATION_BOUND * min(degrees, default=0)
+    monomials = {}                       # character -> exponent vectors
+
+    def extend(i, exponents, degree, char):
+        if i == len(gens):
+            monomials.setdefault(char, []).append(exponents)
+            return
+        e = 0
+        while degree + e * degrees[i] <= top:
+            extend(i + 1, exponents + (e,), degree + e * degrees[i],
+                   tuple(c + e * x for c, x in zip(char, chars[i])))
+            e += 1
+
+    extend(0, (), 0, (0,) * len(plus))
+    need = max(map(len, monomials.values())) + 2
+    values = [evaluate_all(gens, random_structured(sq, flavor, d, seed=3500 + k))
+              for k in range(need)]
+    reached, unreached = [], []
+    for char, exps in monomials.items():
+        rows = [[_monomial(vals, e) for vals in values[:len(exps) + 2]] for e in exps]
+        got = rank(RationalMatrix.from_rows(rows))
+        want = weight_space_dim(sq, flavor, d, Weight(dict(zip(plus, char))))
+        if got != want:
+            reached.append((char, got, want))
+    for char in itertools.product(range(-2, 3), repeat=len(plus)):
+        if char in monomials or sum(a * c for a, c in zip(l, char)) > top:
+            continue
+        if weight_space_dim(sq, flavor, d, Weight(dict(zip(plus, char)))):
+            unreached.append(char)
+    return reached, unreached, len(monomials)
+
+
+def _monomial(values, exponents) -> Fraction:
+    out = Fraction(1)
+    for v, e in zip(values, exponents):
+        out *= v ** e
+    return out
+
+
+def test_generators_generate_the_semi_invariant_ring():
+    characters = 0
+    for sq, d, flavor in generation_cases():
+        reached, unreached, count = generation_mismatches(
+            sq, d, flavor, generators_tame(sq, d, flavor))
+        assert (reached, unreached) == ([], []), (sq.base.name, d, flavor)
+        characters += count
+    assert characters >= 300
+
+
+def test_generation_check_catches_a_dropped_generator():
+    """Without its first generator a list fails the check where that
+    generator is not a combination of the other monomials of its character
+    (the lists are not minimal): by rank, or by an unreached character."""
+    caught = {"rank": 0, "unreached": 0}
+    for sq, d, flavor in list(generation_cases())[::2]:
+        gens = generators_tame(sq, d, flavor)
+        reached, unreached, _ = generation_mismatches(sq, d, flavor, gens[1:])
+        caught["rank"] += bool(reached)
+        caught["unreached"] += bool(unreached)
+    assert caught["rank"] >= 2 and caught["unreached"] >= 3, caught
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -22,6 +22,13 @@ from symquiv.tame import (_find_tiling, _regular_simple_roots, _window_matches,
                           pencil_templates, realize_summand,
                           tame_regular_module, tau_orbits)
 
+
+def labels_of(dec, name):
+    """The labels of the polygon named ``name`` in a canonical decomposition."""
+    (labels,) = [lp.labels for lp in dec.labelled if lp.polygon.name == name]
+    return labels
+
+
 FAMILIES = {
     "a201": families.a201(2, 2),
     "a202": families.a202(2, 2),
@@ -285,7 +292,7 @@ def test_canonical_decomposition_roundtrip():
             dec = canonical_decomposition(sq, d)
             assert dec.p == p
             for poly_name, labels in expected.items():
-                assert dec.labels_of(poly_name) == labels
+                assert labels_of(dec, poly_name) == labels
 
 
 def test_canonical_decomposition_rejects():
@@ -310,7 +317,7 @@ def test_esempio_arcs_and_modes():
     sq, orbits, poly, d = esempio_setup()
     dec = canonical_decomposition(sq, d)
     assert dec.p == 2
-    assert dec.labels_of("delta") == [2, 0, 3, 2, 3, 0]
+    assert labels_of(dec, "delta") == [2, 0, 3, 2, 3, 0]
     arcs = {(a.start, a.length): a for a in admissible_arcs(dec.labelled[0])}
     assert arcs[(0, 1)].q == 2 and arcs[(0, 1)].ind == 2
     assert arcs[(2, 1)].q == 1 and arcs[(2, 1)].ind == 3

@@ -1,10 +1,13 @@
-"""Template evaluation on ints against the per-term ``Fraction`` loop, and
-the skew searches against their exhaustive per-candidate loops.
+"""Template evaluation on ints against the per-term ``Fraction`` loop, the
+skew searches against their exhaustive per-candidate loops, and the int-row
+presentation against its ``RationalMatrix`` form.
 
 The oracles below are the evaluation and the searches as they were before
 path products moved to ints: every term of every block is a chain of
 ``RationalMatrix`` products, and every (permutation, sign) candidate is
-built as a template and evaluated afresh.
+built as a template and evaluated afresh.  The presentation oracle is
+``minimal_presentation`` as it was before it ran on int rows: path images
+are ``Fraction`` vectors and every kernel is a ``RationalMatrix``.
 """
 
 import dataclasses
@@ -14,10 +17,11 @@ from itertools import permutations, product
 
 import pytest
 
-from symquiv import families, representation, semiinvariant
+from symquiv import families, presentation, representation, semiinvariant
 from symquiv.io import descriptor_to_json
-from symquiv.linalg import RationalMatrix
-from symquiv.presentation import PathMatrix, evaluate_template, minimal_presentation
+from symquiv.linalg import RationalMatrix, column_space_complement
+from symquiv.presentation import (PathMatrix, _basis, _columns, _shift, evaluate_template,
+                                  minimal_presentation)
 from symquiv.quiver import DimensionVector, null_root
 from symquiv.representation import Representation, random_structured
 from symquiv.semiinvariant import (_is_skew, _SeededPoints, _skew_normalize_pencil,
@@ -57,6 +61,52 @@ def oracle_evaluate(t: PathMatrix, w: Representation) -> RationalMatrix:
             row.append(block)
         blocks.append(row)
     return RationalMatrix.block(blocks)
+
+
+def oracle_top(q, dim, mats):
+    out = []
+    for x in q.vertices:
+        if not dim[x]:
+            continue
+        images = [mats[a.name] for a in sorted(q.arrows_into(x), key=lambda a: a.name)
+                  if dim[a.tail]]
+        free = (column_space_complement(RationalMatrix.block([images]))[1] if images
+                else range(dim[x]))
+        out.extend((x, i) for i in free)
+    return out
+
+
+def oracle_minimal_presentation(m: Representation) -> PathMatrix:
+    q = m.quiver
+    gens = oracle_top(q, m.dim, m.matrices)
+    p0 = _basis(q, [x for x, _ in gens])
+    images = {}
+    for c, path in sorted((item for z in q.vertices for item in p0[z]),
+                          key=lambda item: len(item[1])):
+        if path:
+            images[c, path] = m.matrices[path[-1]].apply(images[c, path[:-1]])
+        else:
+            x, i = gens[c]
+            images[c, path] = [Fraction(int(k == i)) for k in range(m.dim[x])]
+    kernel, free = {}, {}
+    for z in q.vertices:
+        rows = [images[item] for item in p0[z]]
+        kernel[z], free[z] = column_space_complement(
+            RationalMatrix(len(rows), m.dim[z], [x for row in rows for x in row]))
+    karrows = {}
+    for a in q.arrows:
+        back = {j: i for i, j in enumerate(_shift(p0, a))}
+        karrows[a.name] = _columns(kernel[a.tail],
+                                   [back.get(j) for j in free[a.head]]).transpose()
+    rows, entries = [], []
+    for y, k in oracle_top(q, {z: len(free[z]) for z in q.vertices}, karrows):
+        entry = [{} for _ in gens]
+        for (c, path), coeff in zip(p0[y], kernel[y].row(k)):
+            if coeff:
+                entry[c][path] = coeff
+        rows.append(y)
+        entries.append(entry)
+    return PathMatrix(q, rows, [x for x, _ in gens], entries)
 
 
 def oracle_skew_template(t, witnesses):
@@ -438,3 +488,103 @@ def test_skew_witnesses_are_drawn_lazily(flavor, monkeypatch):
     witnesses = _SeededPoints(sq, flavor, beta)
     assert seeds == []
     assert witnesses[1] is witnesses[1] and seeds == [5001]
+
+
+# -- the int-row presentation and the per-representation path table -------------
+
+def _layout(t: PathMatrix):
+    """Rows, columns and every entry's (path, coefficient) items in order."""
+    return (t.rows, t.cols, [[list(e.items()) for e in row] for row in t.entries])
+
+
+def presented_modules(cases):
+    """Every module that generators_tame presents on the cases."""
+    modules = []
+    present = semiinvariant.minimal_presentation
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semiinvariant, "minimal_presentation",
+                   lambda m: modules.append(m) or present(m))
+        for sq, d, flavor in cases:
+            generators_tame(sq, d, flavor)
+    return modules
+
+
+def null_root_cases():
+    for sq in TAME:
+        for scale in (1, 2):
+            d = null_root(sq.base).scale(scale)
+            for flavor in (SYMPLECTIC, ORTHOGONAL):
+                if flavor == SYMPLECTIC and any(d[x] % 2 for x in sq.v_fixed):
+                    continue
+                yield sq, d, flavor
+
+
+def test_int_presentations_match_the_rational_oracle_on_enumerated_modules():
+    modules = presented_modules(list(family_cases()) + list(null_root_cases()))
+    assert len(modules) > 100
+    for m in modules:
+        t = minimal_presentation(m)
+        assert _layout(t) == _layout(oracle_minimal_presentation(m))
+        assert all(type(v) is Fraction for row in t.entries for e in row for v in e.values())
+
+
+def test_int_presentations_match_the_rational_oracle_on_fractional_modules():
+    rng = random.Random(35)
+    fractional = 0
+    for sq in FAMILIES:
+        for _ in range(12):
+            m = rational_rep(sq.base, rng)
+            fractional += any(a.den > 1 for a in m.matrices.values())
+            assert _layout(minimal_presentation(m)) == _layout(oracle_minimal_presentation(m))
+        for seed in (1, 2):
+            # a point of the enumeration, moved off the integers
+            full = random_structured(sq, ORTHOGONAL, null_root(sq.base) if sq in TAME else
+                                     DimensionVector({v: 2 for v in sq.base.vertices}),
+                                     seed=seed).full()
+            m = Representation(full.quiver, full.dim,
+                               {name: a.scale(Fraction(seed, 2 + k))
+                                for k, (name, a) in enumerate(full.matrices.items())})
+            assert _layout(minimal_presentation(m)) == _layout(oracle_minimal_presentation(m))
+    assert fractional > 50
+
+
+def test_path_table_gives_the_same_matrices_in_any_order():
+    """Templates evaluated at one representation in two orders, and at fresh
+    copies of it, give equal matrices: a product kept for one template is
+    the product every other template asks for."""
+    for sq, d, flavor in family_cases():
+        templates = arc_templates(sq, d) + [pencil_templates(sq).combine(Fraction(k), Fraction(1))
+                                            for k in (0, 1)]
+        point = random_structured(sq, flavor, d, seed=3).full()
+
+        def fresh():
+            return Representation(point.quiver, point.dim, dict(point.matrices))
+
+        forward = [evaluate_template(t, point) for t in templates]
+        backward = [evaluate_template(t, point) for t in reversed(templates)][::-1]
+        one_each = [evaluate_template(t, fresh()) for t in templates]
+        assert forward == backward == one_each
+        assert forward == [oracle_evaluate(t, fresh()) for t in templates]
+
+
+def test_generators_tame_multiplies_each_path_once_per_point(monkeypatch):
+    """Within one enumeration every path product (a path of length >= 2 at
+    a point) is formed once, whichever candidates share it."""
+    products, calls = [], []
+    multiply, evaluate = presentation._int_product, semiinvariant.evaluate_template
+    monkeypatch.setattr(presentation, "_int_product",
+                        lambda a, n, cols: products.append(1) or multiply(a, n, cols))
+    monkeypatch.setattr(semiinvariant, "evaluate_template",
+                        lambda t, w: calls.append((t, w)) or evaluate(t, w))
+    shared = 0
+    for sq, d, flavor in family_cases():
+        del products[:], calls[:]
+        generators_tame(sq, d, flavor)
+        # calls keeps every point alive, so no id is reused
+        pairs = {(path[:k], id(w)) for t, w in calls for row in t.entries for e in row
+                 for path in e for k in range(2, len(path) + 1)}
+        assert len(products) == len(pairs), (sq.base.name, d, flavor)
+        per_template = sum(len({path[:k] for row in t.entries for e in row for path in e
+                                for k in range(2, len(path) + 1)}) for t, _ in calls)
+        shared += per_template - len(pairs)
+    assert shared > 0                  # the table saves products across templates
