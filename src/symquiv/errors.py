@@ -60,6 +60,14 @@ class PartitionViolation(ValidationError):
     pass
 
 
+class AsymmetricDimension(PreconditionError):
+    pass
+
+
+class OddSymplecticDimension(PreconditionError):
+    pass
+
+
 class UnsupportedSymmetricType(UnsupportedError):
     pass
 
@@ -90,14 +98,6 @@ class IndexOutOfOrbit(PreconditionError):
     pass
 
 
-class AsymmetricDimension(PreconditionError):
-    pass
-
-
-class OddSymplecticDimension(PreconditionError):
-    pass
-
-
 class ShapeMismatch(ValidationError):
     pass
 
@@ -107,16 +107,8 @@ class UnsupportedQuiver(UnsupportedError):
     pass
 
 
-class AsymmetricWeight(PreconditionError):
-    pass
-
-
 # tame_decomposition
 class NotRegular(PreconditionError):
-    pass
-
-
-class NotSymmetric(PreconditionError):
     pass
 
 

@@ -125,14 +125,10 @@ class Quiver(Frozen):
         return order
 
     def reverse_arrows_at(self, x: int) -> "Quiver":
-        """The quiver with every arrow incident to x reversed."""
-        arrows = []
-        for a in self.arrows:
-            if x in (a.tail, a.head):
-                arrows.append((a.name, a.head, a.tail))
-            else:
-                arrows.append((a.name, a.tail, a.head))
-        return Quiver(self.vertices, arrows, name=self.name)
+        """The quiver with every arrow incident to x reversed, built on the
+        first request and kept on this quiver; reversing it at x again
+        gives back this quiver."""
+        return self.cached(("reversed", x), lambda q: _reversed_at(q, x))
 
     def orientation_key(self) -> Tuple[Tuple[str, int, int], ...]:
         return tuple(sorted((a.name, a.tail, a.head) for a in self.arrows))
@@ -170,6 +166,13 @@ class Quiver(Frozen):
 
     def __repr__(self):
         return "Quiver(%s: %d vertices, %d arrows)" % (self.name, len(self.vertices), len(self.arrows))
+
+
+def _reversed_at(q: Quiver, x: int) -> Quiver:
+    r = Quiver(q.vertices, [(a.name, a.head, a.tail) if x in (a.tail, a.head)
+                            else (a.name, a.tail, a.head) for a in q.arrows], name=q.name)
+    r._memo[("reversed", x)] = q
+    return r
 
 
 def _neighbour_lists(q: Quiver) -> Dict[int, Tuple[int, ...]]:

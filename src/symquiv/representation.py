@@ -10,8 +10,8 @@ from math import lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping
 
-from .errors import (AsymmetricDimension, BadInterval, OddSymplecticDimension,
-                     QuiverMismatch, ShapeMismatch, ValidationError)
+from .errors import (BadInterval, OddSymplecticDimension, QuiverMismatch, ShapeMismatch,
+                     ValidationError)
 from .families import symmetric_a
 from .linalg import RationalMatrix, inverse as _inverse, linalg_kit
 from .quiver import DimensionVector, Frozen, Quiver
@@ -167,15 +167,9 @@ class StructuredRepresentation(Frozen):
     def __init__(self, sq: SymmetricQuiver, flavor: str, dim: DimensionVector,
                  matrices: Dict[str, RationalMatrix],
                  fixed_matrices: Dict[str, RationalMatrix]):
-        if flavor not in (SYMPLECTIC, ORTHOGONAL):
-            raise ValidationError("flavor must be 'sp' or 'o'")
-        if not sq.is_symmetric_dim(dim):
-            raise AsymmetricDimension("dimension vector is not sigma-symmetric")
-        if flavor == SYMPLECTIC:
-            for x in sq.v_fixed:
-                if dim[x] % 2:
-                    raise OddSymplecticDimension(
-                        "symplectic dimension at fixed vertex %r must be even" % x)
+        if flavor is None:
+            raise ValidationError("a structured representation needs a flavor")
+        sq.check_point(dim, flavor)
         mats = {}
         for name in sq.a_plus:
             a = sq.base.arrow_by_name[name]

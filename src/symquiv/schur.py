@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import AsymmetricWeight, UnsupportedQuiver, ValidationError
+from .errors import NonzeroOnFixedVertex, UnsupportedQuiver, ValidationError
 from .quiver import DimensionVector
 from .symmetric import (SYMPLECTIC, SymmetricQuiver, Weight, _chain_vertices,
                         classify_symmetric)
@@ -270,17 +270,16 @@ def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
     Supported quivers: the equioriented symmetric A_n, and every A-tilde
     family at any size, with any vertex ids and in any orientation; the
     D-tilde families raise ``UnsupportedQuiver``.  ``chi`` is a Weight or a
-    vertex dict and must vanish on sigma-fixed vertices.
+    vertex dict and must vanish on sigma-fixed vertices.  The parity of
+    beta is not checked: where an sp dimension at a fixed vertex is odd,
+    there is no sp representation and the answer is 0.
     """
     if not isinstance(chi, Weight):
         chi = Weight(chi)
-    if not sq.is_symmetric_dim(beta):
-        raise AsymmetricWeight("beta must be a symmetric dimension vector")
-    if any(x < 0 for x in beta.values.values()):
-        raise ValidationError("beta must have nonnegative entries")
+    sq.check_point(beta)
     for x in sq.v_fixed:
         if chi[x] != 0:
-            raise AsymmetricWeight("weights vanish on sigma-fixed vertices")
+            raise NonzeroOnFixedVertex("weight must vanish on fixed vertex %r" % x)
 
     def m_of(x: int) -> Fraction:
         # GL(0) is trivial: no weight is read where beta is 0

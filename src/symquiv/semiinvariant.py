@@ -10,9 +10,8 @@ from itertools import accumulate, permutations, product as iproduct
 from math import lcm
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (AsymmetricDimension, NonOrthogonalDimensions,
-                     NotFiniteType, NotSquare, NotSkewSymmetric, NotTame,
-                     OddSymplecticDimension, PatternNotFound, ValidationError)
+from .errors import (NonOrthogonalDimensions, NotFiniteType, NotSquare, NotSkewSymmetric,
+                     NotTame, PatternNotFound, ValidationError)
 from .linalg import (RationalMatrix, _check_skew, _det_int, _interpolate_int, _pf_int,
                      determinant, pfaffian)
 from .presentation import PathMatrix, evaluate_template, minimal_presentation
@@ -346,15 +345,10 @@ def generators_finite(sq: SymmetricQuiver, beta: DimensionVector,
     st = classify_symmetric(sq)
     if st.tag != "FiniteA":
         raise NotFiniteType("generators_finite needs a finite symmetric type")
-    if not sq.is_symmetric_dim(beta):
-        raise AsymmetricDimension("beta must be sigma-symmetric")
-    if any(x < 0 for x in beta.values.values()):
-        raise ValidationError("beta must have nonnegative entries")
+    sq.check_point(beta, flavor)
     order = _chain_vertices(sq)
     n = len(order)
     m = n // 2
-    if n % 2 and flavor == SYMPLECTIC and beta[order[m]] % 2:
-        raise OddSymplecticDimension("middle dimension must be even")
     out: List[GeneratorDescriptor] = []
     wants_pf = (flavor == ORTHOGONAL) if n % 2 == 0 else (flavor == SYMPLECTIC)
     witnesses = _SeededPoints(sq, flavor, beta)
@@ -425,10 +419,7 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
     st = classify_symmetric(sq)
     if st.tag == "FiniteA":
         raise NotTame("generators_tame needs a tame symmetric type")
-    if flavor == SYMPLECTIC:
-        for x in sq.v_fixed:
-            if d[x] % 2:
-                return []
+    sq.check_point(d, flavor)
     dec = canonical_decomposition(sq, d)
 
     def size(vertices) -> int:

@@ -8,8 +8,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .errors import (NotAdmissible, NotContravariant, NotFiniteType, NotInvolutive,
-                     PartitionViolation, UnsupportedSymmetricType, ValidationError)
+from .errors import (AsymmetricDimension, NotAdmissible, NotContravariant, NotFiniteType,
+                     NotInvolutive, OddSymplecticDimension, PartitionViolation,
+                     UnsupportedSymmetricType, ValidationError)
 from .quiver import DimensionVector, Frozen, Quiver, validate_and_classify
 
 SYMPLECTIC = "sp"
@@ -162,6 +163,28 @@ class SymmetricQuiver(Frozen):
 
     def is_symmetric_dim(self, alpha: DimensionVector) -> bool:
         return self.delta(alpha) == alpha
+
+    def check_point(self, beta: DimensionVector, flavor: str | None = None) -> None:
+        """Raise unless beta is the dimension vector of a representation of
+        the flavor (Derksen & Weyman): nonnegative, sigma-symmetric and, for
+        sp, even at every sigma-fixed vertex.  Without a flavor the parity
+        is not read.
+
+        Every entry point that takes a dimension vector checks it here, in
+        this order: an unknown flavor or a negative entry is a validation
+        error (exit 2), an asymmetric vector or an odd sp dimension a
+        precondition error (exit 4)."""
+        if flavor not in (None, SYMPLECTIC, ORTHOGONAL):
+            raise ValidationError("flavor must be 'sp' or 'o'")
+        if any(x < 0 for x in beta.values.values()):
+            raise ValidationError("beta must have nonnegative entries")
+        if not self.is_symmetric_dim(beta):
+            raise AsymmetricDimension("beta must be sigma-symmetric")
+        if flavor == SYMPLECTIC:
+            for x in self.v_fixed:
+                if beta[x] % 2:
+                    raise OddSymplecticDimension(
+                        "symplectic dimension at fixed vertex %r must be even" % x)
 
     def with_base(self, new_base: Quiver) -> "SymmetricQuiver":
         return SymmetricQuiver(new_base, self.sigma_v, self.sigma_a)

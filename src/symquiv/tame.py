@@ -9,16 +9,14 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (IndexOutOfOrbit, NotRegular, NotSymmetric,
-                     ParityViolation, UnsupportedSymmetricType)
+from .errors import IndexOutOfOrbit, NotRegular, ParityViolation, UnsupportedSymmetricType
 from .linalg import RationalMatrix, solve
 from .presentation import PathMatrix, module_from_presentation
 from .quiver import DimensionVector, Quiver, defect, null_root
 from .reflection import (MINUS, PLUS, _apply_word, _coxeter_word, coxeter_dim,
                          coxeter_rep, dual_rep)
 from .representation import Representation
-from .symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver,
-                        _cycle_order, classify_symmetric)
+from .symmetric import SYMPLECTIC, SymmetricQuiver, _cycle_order, classify_symmetric
 
 
 @dataclass(frozen=True)
@@ -204,10 +202,11 @@ class CanonicalDecomposition:
 def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector) -> CanonicalDecomposition:
     """Unique expression of a regular symmetric vector as a multiple of the
     null root plus labelled orbit contributions, normalized so every orbit
-    has a zero label."""
+    has a zero label.  Since sigma permutes the orbit elements, the
+    expression of a symmetric vector is its own mirror image: mirrored
+    labels agree."""
     q = sq.base
-    if not sq.is_symmetric_dim(d):
-        raise NotSymmetric("the input vector is not sigma-symmetric")
+    sq.check_point(d)
     if defect(q, d) != 0:
         raise NotRegular("the input vector has nonzero defect")
     orbits = tau_orbits(sq)
@@ -240,22 +239,7 @@ def canonical_decomposition(sq: SymmetricQuiver, d: DimensionVector) -> Canonica
         labelled.append(LabelledPolygon(poly, [int(v) for v in vals]))
     if p.denominator != 1 or p < 0:
         raise NotRegular("the null-root multiplicity is not a nonnegative integer")
-    p = int(p)
-    # mirrored labels must agree
-    for lp in labelled:
-        poly = lp.polygon
-        if poly.sigma is not None:
-            for i in range(poly.rank):
-                if lp.labels[i] != lp.labels[poly.sigma[i]]:
-                    raise NotSymmetric("labels are not sigma-symmetric")
-        elif poly.partner is not None:
-            other = next(l for l in labelled if l.polygon.name == poly.partner)
-            for i in range(poly.rank):
-                img = sq.delta(poly.dims[i])
-                j = other.polygon.dims.index(img)
-                if lp.labels[i] != other.labels[j]:
-                    raise NotSymmetric("paired orbit labels disagree")
-    return CanonicalDecomposition(p, labelled)
+    return CanonicalDecomposition(int(p), labelled)
 
 
 # -- arcs ------------------------------------------------------------------------
@@ -359,13 +343,8 @@ def generic_decomposition(sq: SymmetricQuiver, d: DimensionVector, mode: str):
 
 
 def generic_summands(sq: SymmetricQuiver, d: DimensionVector, mode: str) -> List[Summand]:
-    if mode not in ("plain", SYMPLECTIC, ORTHOGONAL):
-        raise ValueError("mode must be plain, sp or o")
+    sq.check_point(d, None if mode == "plain" else mode)
     dec = canonical_decomposition(sq, d)
-    if mode == SYMPLECTIC:
-        for x in sq.v_fixed:
-            if d[x] % 2:
-                raise ParityViolation("symplectic dimension at %r must be even" % x)
     h = null_root(sq.base)
     out: List[Summand] = []
     h_budget = dec.p

@@ -287,6 +287,42 @@ def test_oracle_dim_rejects_negative_dimension(capsys):
     assert capsys.readouterr().err == "error: beta must have nonnegative entries\n"
 
 
+_NEGATIVE = "error: beta must have nonnegative entries\n"
+_ASYMMETRIC = "error: beta must be sigma-symmetric\n"
+_ODD_SP = "error: symplectic dimension at fixed vertex %d must be even\n"
+
+
+def _malformed_points():
+    """(argv, exit code, stderr) of every command that takes a dimension
+    vector, at each malformed point."""
+    for cmd, extra in (("generators", ["--flavor", "sp"]), ("decompose", []), ("arcs", [])):
+        yield [cmd, "-q", "a201_00.qv", "--dim=-1,-1"] + extra, 2, _NEGATIVE
+    for qv, dim, weight in (("a201_00.qv", "1,2", "1,-1"), ("a4.qv", "1,2,2,3", "1,0,0,-1")):
+        for cmd, extra in (("generators", ["--flavor", "sp"]), ("decompose", []), ("arcs", []),
+                           ("oracle-dim", ["--flavor", "sp", "--weight", weight])):
+            yield [cmd, "-q", qv, "--dim", dim] + extra, 4, _ASYMMETRIC
+    for qv, dim, x in (("a11_02.qv", "1,1,1", 2), ("a5.qv", "1,1,1,1,1", 3)):
+        for extra in ([], ["--check-invariance", "1"]):
+            yield ["generators", "-q", qv, "--dim", dim, "--flavor", "sp"] + extra, 4, _ODD_SP % x
+        yield ["decompose", "-q", qv, "--dim", dim, "--mode", "sp"], 4, _ODD_SP % x
+
+
+@pytest.mark.parametrize("argv, code, err", [pytest.param(*case, id=" ".join(case[0]))
+                                              for case in _malformed_points()])
+def test_a_malformed_point_gets_one_answer_from_every_command(capsys, argv, code, err):
+    """A negative, asymmetric or odd-symplectic vector gets the same exit
+    code and the same single line on stderr from each command."""
+    argv = [str(FIX / a) if a.endswith(".qv") else a for a in argv]
+    assert run_cli(*argv) == (code, "")
+    assert capsys.readouterr().err == err
+
+
+def test_oracle_dim_answers_0_at_an_odd_symplectic_dimension():
+    """There is no sp representation there, so every weight space is 0."""
+    assert run_cli("oracle-dim", "-q", str(FIX / "a11_02.qv"), "--dim", "1,1,1",
+                   "--flavor", "sp", "--weight", "0,0,0") == (0, "0\n")
+
+
 @pytest.mark.parametrize("fixture, at, dim", [("a201_22.qv", "4", "2,2,2,2,2,2"),
                                               ("d10_3.qv", "4", "2,2,4,2,2,4")])
 def test_generators_on_a_reflected_quiver_without_pencil_exits_3(tmp_path, capsys,

@@ -100,6 +100,28 @@ def test_coxeter_rep_translates_intervals():
     assert out.dim == DimensionVector({1: 1, 2: 1, 3: 0, 4: 0})
 
 
+def test_a_second_coxeter_rep_builds_no_quiver(monkeypatch):
+    """Each reflected quiver is kept on the quiver it was reflected from, so
+    a second translation from the same base quiver reuses them all, and
+    reflecting back at the same vertex gives the quiver itself."""
+    q = families.d10(4).base
+    v = _random_rep(random.Random(3), q)
+    first = coxeter_rep(q, v, MINUS)
+    built = []
+    init = Quiver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quiver, "__init__", counting_init)
+    second = coxeter_rep(q, v, MINUS)
+    assert built == []
+    assert _same_rep(first, second) and first.quiver is second.quiver
+    x = q.sinks()[0]
+    assert q.reverse_arrows_at(x).reverse_arrows_at(x) is q
+
+
 def test_dual_reflection_compatibility():
     # reflecting then dualising agrees with dualising then reflecting
     rng = random.Random(9)

@@ -450,6 +450,21 @@ def test_generators_finite_preconditions():
                           SYMPLECTIC)
 
 
+def test_an_unknown_flavor_is_a_validation_error():
+    """Each enumeration and the generic decomposition reject a flavor other
+    than sp and o (or a mode other than plain, sp and o) before any work."""
+    from symquiv.errors import ValidationError
+    from symquiv.tame import generic_summands
+    kronecker, d = families.a201(0, 0), DimensionVector({1: 2, 2: 2})
+    calls = [lambda: generators_finite(families.symmetric_a(4),
+                                       DimensionVector({1: 1, 2: 1, 3: 1, 4: 1}), "x"),
+             lambda: generators_tame(kronecker, d, "x"),
+             lambda: generic_summands(kronecker, d, "x")]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^flavor must be 'sp' or 'o'$"):
+            call()
+
+
 def test_generators_labelled_inputs_all_families():
     from symquiv.tame import tau_orbits
     rng = random.Random(5)

@@ -9,7 +9,7 @@ import pytest
 from symquiv import families
 from symquiv import io as sqio
 from symquiv.cli import main
-from symquiv.errors import NotRegular, NotSymmetric, UnsupportedSymmetricType
+from symquiv.errors import AsymmetricDimension, NotRegular, UnsupportedSymmetricType
 from symquiv.quiver import DimensionVector, null_root
 from symquiv.reflection import PLUS, coxeter_dim
 from symquiv.representation import dvw_and_homext
@@ -299,7 +299,7 @@ def test_canonical_decomposition_rejects():
     sq = FAMILIES["a201"]
     h = null_root(sq.base)
     bad = h.replace(1, h[1] + 1)
-    with pytest.raises((NotRegular, NotSymmetric)):
+    with pytest.raises((NotRegular, AsymmetricDimension)):
         canonical_decomposition(sq, bad)
 
 
