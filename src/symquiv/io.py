@@ -46,11 +46,21 @@ def parse_rational(tok: str) -> Fraction:
     return Fraction(*_parse_ratio(tok))
 
 
-def _matrix_from_ratios(rows: int, cols: int, ratios: List[Tuple[int, int]]) -> RationalMatrix:
-    """The matrix of row-major (numerator, denominator) pairs, over the
-    (positive) lcm of the denominators."""
+def _matrix_entries(toks: List[str]) -> Tuple[List[int], int]:
+    """Row-major matrix tokens ``a`` or ``a/b`` as int numerators over one
+    positive denominator, the lcm of the token denominators.
+
+    The one reader of matrix files and ``mat`` blocks.  Integer tokens go
+    through ``int()`` alone; if it rejects any token (one holding ``/``
+    among them), every token goes through ``_parse_ratio``, which reads
+    ``p/q`` and raises the error of the first bad token."""
+    try:
+        return [int(t) for t in toks], 1
+    except ValueError:
+        pass
+    ratios = [_parse_ratio(t) for t in toks]
     den = lcm(*(d for _, d in ratios))
-    return RationalMatrix._from_ints(rows, cols, [n * (den // d) for n, d in ratios], den)
+    return [n * (den // d) for n, d in ratios], den
 
 
 def format_rational(x: Fraction) -> str:
@@ -123,7 +133,7 @@ def serialize_quiver(sq: SymmetricQuiver) -> str:
 # -- representation files -----------------------------------------------------------
 
 def parse_representation(text: str, sq: SymmetricQuiver) -> StructuredRepresentation:
-    flavor = SYMPLECTIC
+    flavor = None
     dims: Dict[int, int] = {}
     mats: Dict[str, RationalMatrix] = {}
     lines = [l for l in text.splitlines()]
@@ -142,6 +152,8 @@ def parse_representation(text: str, sq: SymmetricQuiver) -> StructuredRepresenta
             elif key == "flavor":
                 if parts[1] not in (SYMPLECTIC, ORTHOGONAL):
                     raise ParseError("flavor must be sp or o")
+                if flavor is not None:
+                    raise ParseError("flavor line repeated")
                 flavor = parts[1]
             elif key == "dim":
                 for tok in parts[1:]:
@@ -157,15 +169,21 @@ def parse_representation(text: str, sq: SymmetricQuiver) -> StructuredRepresenta
                 arrow = parts[1]
                 r, c = parts[2].split("x")
                 r, c = int(r), int(c)
-                entries: List[Tuple[int, int]] = []
-                for _ in range(r):
-                    row = _strip(lines[idx])
-                    idx += 1
-                    toks = row.split()
-                    if len(toks) != c:
-                        raise ParseError("matrix row needs %d entries" % c)
-                    entries.extend(_parse_ratio(t) for t in toks)
-                mats[arrow] = _matrix_from_ratios(r, c, entries)
+                toks: List[str] = []
+                try:
+                    for _ in range(r):
+                        row = _strip(lines[idx]).split()
+                        idx += 1
+                        if len(row) != c:
+                            raise ParseError("matrix row needs %d entries" % c)
+                        toks.extend(row)
+                except (IndexError, ParseError):
+                    _matrix_entries(toks)  # a bad token in an earlier row wins
+                    raise
+                num, den = _matrix_entries(toks)
+                if arrow in mats:
+                    raise ParseError("mat names arrow %s twice" % arrow)
+                mats[arrow] = RationalMatrix._from_ints(r, c, num, den)
             else:
                 raise ParseError("unknown directive %r" % key)
         except (IndexError, ValueError) as exc:
@@ -179,7 +197,7 @@ def parse_representation(text: str, sq: SymmetricQuiver) -> StructuredRepresenta
     if unknown:
         raise ParseError("matrices for mirror arrows are derived, drop %s"
                          % sorted(unknown))
-    return StructuredRepresentation(sq, flavor, dim, plus, fixed)
+    return StructuredRepresentation(sq, flavor or SYMPLECTIC, dim, plus, fixed)
 
 
 def serialize_representation(sr: StructuredRepresentation) -> str:
@@ -302,14 +320,12 @@ def format_dim_vector(d: DimensionVector, sq: SymmetricQuiver) -> str:
 
 
 def parse_matrix(text: str) -> RationalMatrix:
-    rows = []
-    for raw in text.splitlines():
-        line = _strip(raw)
-        if not line:
-            continue
-        rows.append([_parse_ratio(t) for t in line.split()])
+    rows = [line.split() for line in map(_strip, text.splitlines()) if line]
+    # a bad token anywhere is raised before a ragged row
+    num, den = _matrix_entries([t for row in rows for t in row])
     if not rows:
         raise ParseError("empty matrix file")
-    if len(set(len(r) for r in rows)) != 1:
+    cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
         raise ParseError("ragged matrix rows")
-    return _matrix_from_ratios(len(rows), len(rows[0]), [x for row in rows for x in row])
+    return RationalMatrix._from_ints(len(rows), cols, num, den)

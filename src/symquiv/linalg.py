@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import add
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import NotSkewSymmetric, NotSquare, OddDimension, ValidationError
@@ -187,18 +188,17 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
+    # row i from the diagonal on against column i from the diagonal down:
+    # one slice comparison per row, not one Python comparison per entry
     def is_symmetric(self) -> bool:
         n, a = self.cols, self.num
         return self.is_square() and all(
-            a[i * n + j] == a[j * n + i] for i in range(n) for j in range(i + 1, n))
+            a[i * n + i + 1:(i + 1) * n] == a[(i + 1) * n + i::n] for i in range(n))
 
     def is_skew_symmetric(self) -> bool:
         n, a = self.cols, self.num
         return self.is_square() and all(
-            a[i * n + j] == -a[j * n + i] for i in range(n) for j in range(i, n))
+            not any(map(add, a[i * n + i:(i + 1) * n], a[i * n + i::n])) for i in range(n))
 
 
 def _int_product(a: List[List[int]], b: List[List[int]], cols: int) -> List[List[int]]:

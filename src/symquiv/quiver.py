@@ -228,9 +228,6 @@ class DimensionVector(Frozen):
     def __hash__(self):
         return hash(tuple(sorted((k, v) for k, v in self._values.items() if v)))
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self._values.values())
-
     def support(self) -> List[int]:
         return sorted(k for k, v in self._values.items() if v)
 

@@ -10,7 +10,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NonzeroOnFixedVertex, UnsupportedQuiver, ValidationError
 from .quiver import DimensionVector
-from .symmetric import (SYMPLECTIC, SymmetricQuiver, Weight, _chain_vertices,
+from .symmetric import (ORTHOGONAL, SYMPLECTIC, SymmetricQuiver, Weight, _chain_vertices,
                         classify_symmetric)
 
 Partition = Tuple[int, ...]
@@ -274,6 +274,9 @@ def weight_space_dim(sq: SymmetricQuiver, flavor: str, beta: DimensionVector,
     beta is not checked: where an sp dimension at a fixed vertex is odd,
     there is no sp representation and the answer is 0.
     """
+    # the flavor is checked here: check_point with a flavor would read the parity
+    if flavor not in (SYMPLECTIC, ORTHOGONAL):
+        raise ValidationError("flavor must be 'sp' or 'o'")
     if not isinstance(chi, Weight):
         chi = Weight(chi)
     sq.check_point(beta)

@@ -144,6 +144,26 @@ def test_evaluate_rejects_a_rep_file_that_would_be_the_zero_representation(
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "dim" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("rep A201_0_0\nflavor sp\ndim 1=2 2=2\nmat a 2x2\n1 0\n0 1\nmat a 2x2\n2 0\n0 2\n",
+     "mat names arrow a twice"),
+    ("rep A201_0_0\nflavor sp\nflavor o\ndim 1=2 2=2\n", "flavor line repeated"),
+    ("rep A201_0_0\nflavor o\ndim 1=2 2=2\nflavor o\n", "flavor line repeated"),
+], ids=["repeated-mat", "repeated-flavor", "same-flavor-again"])
+def test_evaluate_rejects_a_repeated_mat_or_flavor_line(text, message, tmp_path, capsys):
+    code, gens = run_cli("generators", "-q", str(FIX / "a201_00.qv"),
+                         "--dim", "2,2", "--flavor", "sp", "--json-lines")
+    assert code == 0
+    gen_file, rep_file = tmp_path / "gens.jsonl", tmp_path / "w.rep"
+    gen_file.write_text(gens)
+    rep_file.write_text(text)
+    capsys.readouterr()
+    code, out = run_cli("evaluate", "-q", str(FIX / "a201_00.qv"),
+                        "--rep", str(rep_file), "--gen-file", str(gen_file))
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_generators_and_evaluate_pipeline(tmp_path):
     code, gen_out = run_cli("generators", "-q", str(FIX / "a201_00.qv"),
                             "--dim", "2,2", "--flavor", "sp", "--json-lines")

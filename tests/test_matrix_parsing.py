@@ -131,3 +131,98 @@ def test_representation_bad_tokens_give_the_same_error(tok):
     with pytest.raises(ParseError) as want:
         _oracle_rational(tok)
     assert str(got.value) == str(want.value)
+
+
+# -- all-integer files: the int() path against the per-token oracle -------------------
+
+INT_GOOD = [t for t in GOOD if "/" not in t] + ["1_000", "007", "-98765432109876543210"]
+INT_BAD = ["x", "1.5", "--1", "1e3", "0x10", "1__0"]
+
+
+def _int_rows(rng, rows, cols):
+    """Row lines of int-like tokens; now and then a bad token, a row one
+    entry long or short, a blank line or a comment holding '/'."""
+    lines = []
+    for _ in range(rows):
+        toks = [rng.choice(INT_GOOD) if rng.random() < 0.5 else str(rng.randint(-50, 50))
+                for _ in range(cols)]
+        if rng.random() < 0.06:
+            toks[rng.randrange(cols)] = rng.choice(INT_BAD)
+        if rng.random() < 0.05:
+            toks.append("1")
+        elif rng.random() < 0.05:
+            toks.pop()
+        lines.append(" ".join(toks) + (" # scale 1/2" if rng.random() < 0.3 else ""))
+        if rng.random() < 0.05:
+            lines.append("# 3/4 of the rows below")
+    return lines
+
+
+def test_integer_matrix_files_match_fraction_per_token_parse():
+    rng = random.Random(810)
+    kinds = set()
+    for _ in range(400):
+        lines = _int_rows(rng, rng.randint(1, 5), rng.randint(1, 5))
+        if rng.random() < 0.1:
+            lines.insert(rng.randrange(len(lines) + 1), "")
+        text = "\n".join(lines) + "\n"
+        got = _outcome(sqio.parse_matrix, text)
+        assert got == _outcome(_oracle_matrix, text), text
+        kinds.add(got[0] if got[0] == "matrix" else " ".join(got[1].split()[:2]))
+    assert {"matrix", "bad rational", "ragged matrix"} <= kinds
+
+
+def _oracle_mat_block(header, lines, r, c):
+    """A ``mat`` block read row by row, as before: each row's length, then
+    its tokens; a file that ends inside the block is a bad header line."""
+    vals = []
+    for k in range(r):
+        if k >= len(lines):
+            raise ParseError("bad line %r" % header)
+        toks = lines[k].split("#")[0].split()
+        if len(toks) != c:
+            raise ParseError("matrix row needs %d entries" % c)
+        vals.extend(_oracle_rational(t) for t in toks)
+    return RationalMatrix(r, c, vals)
+
+
+def _block_outcome(parse):
+    try:
+        m = parse()
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("matrix", m.num, m.den)
+
+
+def test_integer_mat_blocks_match_fraction_per_token_parse():
+    # a1 is a positive arrow of A4: any r x c matrix over dims 1=c 2=r 3=r 4=c
+    sq = sqio.parse_quiver((FIXTURES / "a4.qv").read_text())
+    rng = random.Random(811)
+    kinds = set()
+    for _ in range(300):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        lines = _int_rows(rng, r, c)[:r]
+        if rng.random() < 0.05:
+            lines = lines[:rng.randrange(r)]     # the file ends inside the block
+        header = "mat a1 %dx%d" % (r, c)
+        text = ("rep A4\nflavor sp\ndim 1=%d 2=%d 3=%d 4=%d\n%s\n%s"
+                % (c, r, r, c, header, "".join(line + "\n" for line in lines)))
+        got = _block_outcome(lambda: sqio.parse_representation(text, sq).matrices["a1"])
+        assert got == _block_outcome(lambda: _oracle_mat_block(header, lines, r, c)), text
+        kinds.add(got[0] if got[0] == "matrix" else " ".join(got[1].split()[:2]))
+    assert {"matrix", "bad rational", "matrix row", "bad line"} <= kinds
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["1 x", "2"], "bad rational 'x'"),             # a bad token before a short row
+    (["1", "2 x"], "matrix row needs 2 entries"),   # a short row before a bad token
+    (["1 2/3 x", "4 5"], "matrix row needs 2 entries"),
+    (["1 2"], "bad line 'mat a1 2x2'"),             # the file ends inside the block
+    (["--1 2"], "bad rational '--1'"),              # ...after a bad token
+])
+def test_mat_block_errors_come_in_row_order(rows, message):
+    sq = sqio.parse_quiver((FIXTURES / "a4.qv").read_text())
+    text = "rep A4\nflavor sp\ndim 1=2 2=2 3=2 4=2\nmat a1 2x2\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ParseError) as got:
+        sqio.parse_representation(text, sq)
+    assert str(got.value) == message

@@ -206,7 +206,7 @@ def test_representations_are_frozen_values():
         full.extra = 1
     assert sr.full() is full
     assert dict(sr.full().matrices) == before
-    assert not full.matrices[name].is_zero()
+    assert any(full.matrices[name].num)
 
 
 def test_representation_copies_its_matrix_map():
@@ -217,7 +217,7 @@ def test_representation_copies_its_matrix_map():
     mats["a1"] = RationalMatrix.zero(1, 1)
     mats["a2"] = one
     assert v.matrices["a1"] == one
-    assert v.matrices["a2"].is_zero()
+    assert v.matrices["a2"] == RationalMatrix.zero(1, 1)
 
 
 def _thin_oracle(q, support):

@@ -7,7 +7,7 @@ from typing import List, Optional
 import pytest
 
 from symquiv import families
-from symquiv.errors import UnsupportedQuiver
+from symquiv.errors import AsymmetricDimension, UnsupportedQuiver, ValidationError
 from symquiv.linalg import RationalMatrix, rank
 from symquiv.quiver import DimensionVector, Quiver, null_root
 from symquiv.representation import random_structured
@@ -226,6 +226,26 @@ def test_weight_space_kronecker_orthogonal():
     assert weight_space_dim(sq, ORTHOGONAL, beta3, chi) == 0
     beta4 = DimensionVector({1: 4, 2: 4})
     assert weight_space_dim(sq, ORTHOGONAL, beta4, chi) == 3
+
+
+@pytest.mark.parametrize("flavor", ["x", None, "SP"])
+def test_weight_space_rejects_an_unknown_flavor(flavor):
+    sq, beta = families.a201(0, 0), DimensionVector({1: 2, 2: 2})
+    with pytest.raises(ValidationError, match="flavor must be 'sp' or 'o'"):
+        weight_space_dim(sq, flavor, beta, {1: 2, 2: -2})
+    assert weight_space_dim(sq, SYMPLECTIC, beta, {1: 2, 2: -2}) == 6
+    assert weight_space_dim(sq, ORTHOGONAL, beta, {1: 2, 2: -2}) == 5
+
+
+def test_weight_space_is_zero_at_odd_sp_and_checks_the_rest():
+    # no sp representation has an odd dimension at a fixed vertex: the answer
+    # is 0 there, while an asymmetric vector is still refused
+    sq = families.a11(0, 2)
+    verts = sq.base.vertices
+    chi = {v: 0 for v in verts}
+    assert weight_space_dim(sq, SYMPLECTIC, DimensionVector({v: 1 for v in verts}), chi) == 0
+    with pytest.raises(AsymmetricDimension):
+        weight_space_dim(sq, SYMPLECTIC, DimensionVector(dict(zip(verts, (1, 2, 2)))), chi)
 
 
 def test_weight_space_zero_weight_is_one():

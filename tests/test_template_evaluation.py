@@ -269,7 +269,7 @@ def test_shape_is_row_dims_by_col_dims():
         t = PathMatrix(q, rows, cols, [[{} for _ in cols] for _ in rows])
         m = evaluate_template(t, w)
         assert (m.rows, m.cols) == (2 * len(rows), 2 * len(cols))
-        assert m.is_zero()
+        assert m == RationalMatrix.zero(m.rows, m.cols)
 
 
 # -- the skew searches --------------------------------------------------------------
