@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io as sqio
-from .errors import SymquivError
+from .errors import SymquivError, ValidationError
 from .linalg import pfaffian
 from .quiver import euler_form
 from .reflection import PLUS, reflect_pair_dim, reflect_pair_rep
@@ -17,9 +18,24 @@ from .symmetric import classify_symmetric, reflect_pair_quiver
 from .tame import admissible_arcs, canonical_decomposition, generic_decomposition
 
 
+QUIVER_CACHE_SIZE = 32        # parsed quivers kept per process, by file text
+
+
 def _load_quiver(path: str):
+    """The symmetric quiver in the file at ``path``.
+
+    The last QUIVER_CACHE_SIZE quivers parsed are kept, keyed by the full
+    text of their file, together with every invariant they have computed:
+    commands in one process on the same text share one quiver object.  An
+    edited file is parsed again; a file that fails to parse keeps nothing.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return sqio.parse_quiver(fh.read())
+        return _parse_quiver_text(fh.read())
+
+
+@functools.lru_cache(maxsize=QUIVER_CACHE_SIZE)
+def _parse_quiver_text(text: str):
+    return sqio.parse_quiver(text)
 
 
 def cmd_classify(args) -> int:
@@ -39,7 +55,7 @@ def cmd_euler(args) -> int:
 def cmd_reflect(args) -> int:
     sq = _load_quiver(args.quiver)
     x = args.at
-    if args.rep:
+    if args.rep is not None:
         with open(args.rep, "r", encoding="utf-8") as fh:
             sr = sqio.parse_representation(fh.read(), sq)
         sq2, full = reflect_pair_rep(sq, x, PLUS, sr.full())
@@ -51,7 +67,7 @@ def cmd_reflect(args) -> int:
             for i in range(m.rows):
                 print(" ".join(sqio.format_rational(v) for v in m.row(i)))
         return 0
-    if args.dim:
+    if args.dim is not None:
         alpha = sqio.parse_dim_vector(args.dim, sq)
         sq2, out = reflect_pair_dim(sq, x, alpha)
         sys.stdout.write(sqio.serialize_quiver(sq2))
@@ -64,8 +80,7 @@ def cmd_reflect(args) -> int:
 def cmd_decompose(args) -> int:
     sq = _load_quiver(args.quiver)
     d = sqio.parse_dim_vector(args.dim, sq)
-    mode = {"plain": "plain", "sp": "sp", "o": "o"}[args.mode]
-    pairs = generic_decomposition(sq, d, mode)
+    pairs = generic_decomposition(sq, d, args.mode)
     pairs.sort(key=lambda it: (it[0].as_tuple(sq.base.vertices), it[1]))
     for dim, mult in pairs:
         print("%s x%d" % (sqio.format_dim_vector(dim, sq), mult))
@@ -90,6 +105,9 @@ def cmd_arcs(args) -> int:
 
 
 def cmd_generators(args) -> int:
+    if args.check_invariance < 0:
+        raise ValidationError("--check-invariance needs a count k >= 0, not %d"
+                              % args.check_invariance)
     sq = _load_quiver(args.quiver)
     d = sqio.parse_dim_vector(args.dim, sq)
     st = classify_symmetric(sq)
@@ -176,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reflect", help="reflection at an admissible sink pair")
     p.add_argument("-q", "--quiver", required=True)
     p.add_argument("--at", type=int, required=True)
-    p.add_argument("--dim")
-    p.add_argument("--rep")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--dim")
+    target.add_argument("--rep")
     p.set_defaults(func=cmd_reflect)
 
     p = sub.add_parser("decompose", help="generic decomposition of a regular vector")

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 from .linalg import RationalMatrix, _complement, _int_product, column_space_complement
@@ -21,17 +22,28 @@ from .quiver import DimensionVector, Quiver
 from .representation import Representation
 
 Path = Tuple[str, ...]
-PathCombo = Dict[Path, Fraction]
+PathCombo = Mapping[Path, Fraction]
 
 
-@dataclass
+def _frozen_grid(grid: Sequence[Sequence[PathCombo]]) -> Tuple[Tuple[PathCombo, ...], ...]:
+    """A grid of path combinations as tuples of read-only copies."""
+    return tuple(tuple(MappingProxyType(dict(combo)) for combo in row) for row in grid)
+
+
+@dataclass(frozen=True)
 class PathMatrix:
+    """Immutable: ``rows`` and ``cols`` are tuples and each entry is a
+    read-only copy of the mapping given, so one template can be shared by
+    every caller (arc templates are kept on their quiver)."""
     quiver: Quiver
-    rows: List[int]                       # vertices of the inner projectives
-    cols: List[int]                       # vertices of the outer projectives
-    entries: List[List[PathCombo]]        # entries[r][c], paths col -> row
+    rows: Tuple[int, ...]                 # vertices of the inner projectives
+    cols: Tuple[int, ...]                 # vertices of the outer projectives
+    entries: Tuple[Tuple[PathCombo, ...], ...]   # entries[r][c], paths col -> row
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "cols", tuple(self.cols))
+        object.__setattr__(self, "entries", _frozen_grid(self.entries))
         for r, qv in enumerate(self.rows):
             for c, pv in enumerate(self.cols):
                 for path in self.entries[r][c]:
@@ -225,10 +237,10 @@ def minimal_presentation(m: Representation) -> PathMatrix:
         syzygy_columns[a.name] = [[0 if i is None else k[i] for i in picks]
                                   for k in kernel[a.tail][0]]
     rows: List[int] = []
-    entries: List[List[PathCombo]] = []
+    entries: List[List[Dict[Path, Fraction]]] = []
     for y, k in _top(q, {z: len(free[z]) for z in q.vertices}, syzygy_columns):
         basis, d = kernel[y]
-        entry: List[PathCombo] = [{} for _ in gens]
+        entry: List[Dict[Path, Fraction]] = [{} for _ in gens]
         for (c, path), x in zip(p0[y], basis[k]):
             if x:
                 entry[c][path] = Fraction(x, d)

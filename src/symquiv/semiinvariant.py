@@ -103,8 +103,8 @@ def _pencil_key(pencil: Pencil) -> Tuple:
     def grid(entries):
         return tuple(tuple(tuple(sorted(combo.items())) for combo in row)
                      for row in entries)
-    return (tuple(pencil.rows), tuple(pencil.cols), grid(pencil.phi_entries),
-            grid(pencil.psi_entries), grid(pencil.const_entries), tuple(pencil.signs))
+    return (pencil.rows, pencil.cols, grid(pencil.phi_entries),
+            grid(pencil.psi_entries), grid(pencil.const_entries), pencil.signs)
 
 
 def evaluate_all(gens: List[GeneratorDescriptor],
@@ -265,7 +265,7 @@ def _skew_order(t: PathMatrix, dim, matrices) -> Optional[Tuple]:
 
 def _arrange_template(t: PathMatrix, perm, signs) -> PathMatrix:
     """The template with its rows in the order perm, multiplied by signs."""
-    return PathMatrix(t.quiver, [t.rows[i] for i in perm], list(t.cols),
+    return PathMatrix(t.quiver, [t.rows[i] for i in perm], t.cols,
                       [[{p: Fraction(s) * v for p, v in e.items()} for e in t.entries[i]]
                        for i, s in zip(perm, signs)])
 
@@ -400,6 +400,16 @@ PENCIL_KIND = {
 }
 
 
+def arc_template(sq: SymmetricQuiver, poly_name: str, start: int, length: int) -> PathMatrix:
+    """The minimal presentation of the regular module on an orbit interval
+    (:func:`realize_interval`), built once per symmetric quiver object and
+    interval and kept on the quiver; the template is frozen, so every
+    enumeration on the quiver reads the same one."""
+    def build(sq: SymmetricQuiver) -> PathMatrix:
+        return minimal_presentation(realize_interval(sq, poly_name, start, length))
+    return sq.cached(("arc_template", poly_name, start, length), build)
+
+
 def _skew_normalize_pencil(pen: Pencil, witnesses) -> Optional[Pencil]:
     """The pencil with the first row sign vector making it skew at t = 2 and
     3 on the first two witnesses; each of the four matrices is evaluated
@@ -499,7 +509,7 @@ def generators_tame(sq: SymmetricQuiver, d: DimensionVector,
                 gen_length = poly.rank
             else:
                 gen_length = arc.length - 1
-            t = minimal_presentation(realize_interval(sq, poly.name, arc.start, gen_length))
+            t = arc_template(sq, poly.name, arc.start, gen_length)
             keep_template(t, "arc[%s:%d+%d]" % (poly.name, arc.start, arc.length),
                           det_fallback=True)
     # each sigma-fixed arrow contributes its own determinant or pfaffian;

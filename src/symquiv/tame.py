@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfOrbit, NotRegular, ParityViolation, UnsupportedSymmetricType
 from .linalg import RationalMatrix, solve
-from .presentation import PathMatrix, module_from_presentation
+from .presentation import PathCombo, PathMatrix, _frozen_grid, module_from_presentation
 from .quiver import DimensionVector, Quiver, defect, null_root
 from .reflection import (MINUS, PLUS, _apply_word, _coxeter_word, coxeter_dim,
                          coxeter_rep, dual_rep)
@@ -431,15 +431,23 @@ def generic_summands(sq: SymmetricQuiver, d: DimensionVector, mode: str) -> List
 
 # -- family path data and pencils ------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Pencil:
+    """Immutable, like ``PathMatrix``: tuples of rows, columns and signs,
+    read-only entries.  The pencil of a quiver is kept on it and shared."""
     quiver: Quiver
-    rows: List[int]
-    cols: List[int]
-    phi_entries: List[List[dict]]
-    psi_entries: List[List[dict]]
-    const_entries: List[List[dict]]
+    rows: Tuple[int, ...]
+    cols: Tuple[int, ...]
+    phi_entries: Tuple[Tuple[PathCombo, ...], ...]
+    psi_entries: Tuple[Tuple[PathCombo, ...], ...]
+    const_entries: Tuple[Tuple[PathCombo, ...], ...]
     signs: Tuple[int, ...] = ()    # one sign (1 or -1) per row, or none
+
+    def __post_init__(self):
+        for name in ("rows", "cols", "signs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("phi_entries", "psi_entries", "const_entries"):
+            object.__setattr__(self, name, _frozen_grid(getattr(self, name)))
 
     def combine(self, phi: Fraction, psi: Fraction) -> PathMatrix:
         """The template phi * phi_entries + psi * psi_entries + const_entries,
@@ -457,7 +465,7 @@ class Pencil:
                         combo[p] = combo.get(p, 0) + coeff * v
                 row.append({p: -v if flip else v for p, v in combo.items() if v})
             entries.append(row)
-        return PathMatrix(self.quiver, list(self.rows), list(self.cols), entries)
+        return PathMatrix(self.quiver, self.rows, self.cols, entries)
 
 
 def _zeros(rows, cols):
@@ -492,7 +500,17 @@ def _visits(q: Quiver, path, start) -> List[int]:
 
 def pencil_templates(sq: SymmetricQuiver) -> Pencil:
     """The coefficient-family pencil of the canonical tame orientation, and
-    of some others; UnsupportedSymmetricType for the rest."""
+    of some others; UnsupportedSymmetricType for the rest.
+
+    Built once per symmetric quiver object and kept on it; the pencil is
+    frozen, so every caller reads the same one.  An orientation without a
+    pencil keeps nothing and raises on every call.
+    """
+    return sq.cached("pencil", _pencil)
+
+
+def _pencil(sq: SymmetricQuiver) -> Pencil:
+    """The pencil of :func:`pencil_templates`."""
     st = classify_symmetric(sq)
     q = sq.base
     if st.tag in ("D10", "D01"):
@@ -572,11 +590,11 @@ def pencil_templates(sq: SymmetricQuiver) -> Pencil:
 
 
 def pf_singleton_template(sq: SymmetricQuiver) -> PathMatrix:
-    """The skew single-block template of the free central symmetry family."""
-    st = classify_symmetric(sq)
-    assert st.tag == "A00"
-    pen = pencil_templates(sq)
-    return pen.combine(Fraction(1), Fraction(1))
+    """The skew single-block template of the free central symmetry family,
+    built once per symmetric quiver object and kept on it."""
+    assert classify_symmetric(sq).tag == "A00"
+    return sq.cached("pf_singleton",
+                     lambda sq: pencil_templates(sq).combine(Fraction(1), Fraction(1)))
 
 
 # -- string and tree modules ------------------------------------------------------

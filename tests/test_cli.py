@@ -567,3 +567,86 @@ def test_reflect_without_a_vector_prints_the_quiver_of_the_dim_reflection(path, 
             assert out == out_dim == ""
             assert capsys.readouterr().err == (
                 "error: vertex %r is not an admissible sink\n" % x) * 2
+
+
+def test_generators_rejects_a_negative_invariance_count(capsys, monkeypatch):
+    """A negative k is a usage error, not a skipped check: nothing is drawn."""
+    drawn = []
+    monkeypatch.setattr(cli, "random_structured", lambda *a, **k: drawn.append(a))
+    code, out = run_cli("generators", "-q", str(FIX / "a201_00.qv"), "--dim", "2,2",
+                        "--flavor", "sp", "--check-invariance", "-3")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --check-invariance needs a count k >= 0, not -3\n"
+    assert drawn == []
+
+
+def test_reflect_takes_a_dimension_vector_or_a_representation_not_both(capsys):
+    args = ("reflect", "-q", str(FIX / "d10_3.qv"), "--at", "4")
+    dim, rep = ("--dim", "1,1,2,1,1,2"), ("--rep", str(FIX / "d10_3_h.rep"))
+    assert run_cli(*args, *dim)[0] == run_cli(*args, *rep)[0] == 0
+    capsys.readouterr()
+    assert run_cli(*args, *dim, *rep) == (2, "")
+    assert "not allowed with argument" in capsys.readouterr().err
+    # an empty --dim or --rep is read, not taken for a missing one
+    assert run_cli(*args, "--dim", "") == (2, "")
+    assert run_cli(*args, "--rep", "") == (2, "")
+
+
+def test_commands_on_shared_quivers_do_not_depend_on_their_order(tmp_path, capsys):
+    """About 20 commands over the fixture quivers in one process give the
+    same exit codes and stdout in order, in reverse order (each quiver and
+    its invariants kept from a later command), and from an empty quiver
+    cache."""
+    def q(name):
+        return str(FIX / name)
+
+    gen_files = {}
+    for name, dim in (("a201_00", "2,2"), ("d10_3", "1,1,2,1,1,2")):
+        code, out = run_cli("generators", "-q", q(name + ".qv"), "--dim", dim,
+                            "--flavor", "sp", "--json-lines")
+        assert code == 0 and out
+        gen_files[name] = tmp_path / (name + ".jsonl")
+        gen_files[name].write_text(out)
+    d10 = ("-q", q("d10_3.qv"), "--dim", "2,2,4,2,2,4")
+    commands = [
+        ("classify", "-q", q("a02_22.qv")),
+        ("classify", "-q", q("d10_3.qv")),
+        ("euler", "-q", q("a4.qv"), "--alpha", "1,1,0,0", "--beta", "0,1,1,0"),
+        ("reflect", "-q", q("d10_3.qv"), "--at", "4", "--dim", "1,1,2,1,1,2"),
+        ("reflect", "-q", q("d10_3.qv"), "--at", "5", "--rep", q("d10_3_h.rep")),
+        ("decompose", *d10, "--mode", "plain"),
+        ("decompose", *d10, "--mode", "sp"),
+        ("decompose", *d10, "--mode", "o"),
+        ("arcs", *d10),
+        ("generators", *d10, "--flavor", "sp"),
+        ("generators", *d10, "--flavor", "o", "--json-lines"),
+        ("generators", "-q", q("d10_3.qv"), "--dim", "1,1,2,1,1,2", "--flavor", "sp",
+         "--check-invariance", "1"),
+        ("evaluate", "-q", q("d10_3.qv"), "--rep", q("d10_3_h.rep"),
+         "--gen-file", str(gen_files["d10_3"])),
+        ("generators", "-q", q("a201_00.qv"), "--dim", "2,2", "--flavor", "o",
+         "--json-lines", "--check-invariance", "2"),
+        ("evaluate", "-q", q("a201_00.qv"), "--rep", q("a201_00_p2.rep"),
+         "--gen-file", str(gen_files["a201_00"])),
+        ("oracle-dim", "-q", q("a201_00.qv"), "--dim", "3,3", "--flavor", "sp",
+         "--weight", "1,-1"),
+        ("generators", "-q", q("a201_22.qv"), "--dim", "2,2,2,2,2,2", "--flavor", "o"),
+        ("arcs", "-q", q("a02_22.qv"), "--dim", "2,2,2,2"),
+        ("generators", "-q", q("a02_22.qv"), "--dim", "2,2,2,2", "--flavor", "o"),
+        ("generators", "-q", q("a00_2.qv"), "--dim", "2,2,2,2", "--flavor", "o"),
+        ("generators", "-q", q("d01_3.qv"), "--dim", "2,2,4,2,2", "--flavor", "sp"),
+        ("generators", "-q", q("a11_02.qv"), "--dim", "1,1,1", "--flavor", "sp"),
+    ]
+
+    def run_all(order):
+        return {argv: run_cli(*argv) for argv in order}
+
+    cli._parse_quiver_text.cache_clear()
+    forward = run_all(commands)
+    backward = run_all(commands[::-1])
+    cli._parse_quiver_text.cache_clear()
+    cold = run_all(commands)
+    assert forward == backward == cold
+    codes = [code for code, _ in forward.values()]
+    assert codes.count(0) >= 20 and 4 in codes
+    capsys.readouterr()

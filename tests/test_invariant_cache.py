@@ -1,6 +1,8 @@
 """Quiver objects are immutable and compute each invariant once, per object."""
 
+import contextlib
 import dataclasses
+import io
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from symquiv.errors import UnsupportedSymmetricType
 from symquiv import cli, families, io as sqio, quiver, semiinvariant, symmetric, tame
 from symquiv.quiver import DimensionVector, Quiver, null_root
 from symquiv.reflection import MINUS, PLUS, coxeter_dim, reflect_dim
+from symquiv.representation import random_structured
 from symquiv.symmetric import SymmetricQuiver, admissible_sinks, reflect_pair_quiver
 from symquiv.tame import tau_orbits
 
@@ -23,66 +26,72 @@ TAME = [families.a201(2, 2), families.a202(2, 2), families.a02(2, 2), families.a
         families.a00(2), families.d10(3), families.d01(4)]
 
 
+def _generators_argv(path, sq, flavor, *extra):
+    """A generators command on the quiver file at twice its null root."""
+    dim = ",".join(str(x) for x in null_root(sq.base).scale(2).as_tuple(sq.base.vertices))
+    return ["generators", "-q", str(path), "--dim", dim, "--flavor", flavor, *extra]
+
+
+# Each test below runs two generators commands on one quiver file, sp and
+# then o, from an empty quiver cache: the first command computes each
+# invariant once, and the second, on the same text, reads the quiver the
+# first one parsed and computes none.
+
 def test_generators_solves_null_root_once_per_quiver(tmp_path, monkeypatch):
     sq = families.d01(4)
     path = tmp_path / "d01.quiver"
     path.write_text(sqio.serialize_quiver(sq))
-    dim = ",".join(str(x) for x in null_root(sq.base).scale(2).as_tuple(sq.base.vertices))
     solved, kernels = [], []
     real_solve, real_kernel = quiver._solve_null_root, quiver.kernel_basis
     monkeypatch.setattr(quiver, "_solve_null_root",
                         lambda q: solved.append(q) or real_solve(q))
     monkeypatch.setattr(quiver, "kernel_basis",
                         lambda m: kernels.append(m) or real_kernel(m))
-    for flavor in ("sp", "o"):
-        solved.clear()
-        kernels.clear()
-        argv = ["generators", "-q", str(path), "--dim", dim, "--flavor", flavor,
-                "--check-invariance", "1"]
-        assert cli.main(argv) == 0
-        assert solved, "the command needs the null root"
-        assert len({id(q) for q in solved}) == len(solved)
-        assert len(kernels) == len(solved)
+    cli._parse_quiver_text.cache_clear()
+    assert cli.main(_generators_argv(path, sq, "sp", "--check-invariance", "1")) == 0
+    assert solved, "the command needs the null root"
+    assert len({id(q) for q in solved}) == len(solved)
+    assert len(kernels) == len(solved)
+    del solved[:], kernels[:]
+    assert cli.main(_generators_argv(path, sq, "o", "--check-invariance", "1")) == 0
+    assert solved == kernels == []
 
 
 def test_generators_classifies_each_symmetric_quiver_once(tmp_path, monkeypatch):
     sq = families.d10(4)
     path = tmp_path / "d10.quiver"
     path.write_text(sqio.serialize_quiver(sq))
-    dim = ",".join(str(x) for x in null_root(sq.base).scale(2).as_tuple(sq.base.vertices))
     classified, shapes = [], []
     real_classify, real_shape = symmetric._classify, symmetric.validate_and_classify
     monkeypatch.setattr(symmetric, "_classify",
                         lambda s: classified.append(s) or real_classify(s))
     monkeypatch.setattr(symmetric, "validate_and_classify",
                         lambda q: shapes.append(q) or real_shape(q))
-    for flavor in ("sp", "o"):
-        classified.clear()
-        shapes.clear()
-        argv = ["generators", "-q", str(path), "--dim", dim, "--flavor", flavor,
-                "--check-invariance", "1"]
-        assert cli.main(argv) == 0
-        assert classified, "the command needs the symmetric type"
-        assert len({id(s) for s in classified}) == len(classified)
-        assert len(shapes) == len(classified)
+    cli._parse_quiver_text.cache_clear()
+    assert cli.main(_generators_argv(path, sq, "sp", "--check-invariance", "1")) == 0
+    assert classified, "the command needs the symmetric type"
+    assert len({id(s) for s in classified}) == len(classified)
+    assert len(shapes) == len(classified)
+    del classified[:], shapes[:]
+    assert cli.main(_generators_argv(path, sq, "o", "--check-invariance", "1")) == 0
+    assert classified == shapes == []
 
 
 def test_generators_computes_graph_type_once_per_quiver(tmp_path, monkeypatch):
     sq = families.a202(2, 2)
     path = tmp_path / "a202.quiver"
     path.write_text(sqio.serialize_quiver(sq))
-    dim = ",".join(str(x) for x in null_root(sq.base).scale(2).as_tuple(sq.base.vertices))
     # every graph type computation starts with one connectivity test
     shapes = []
     real_connected = quiver._connected
     monkeypatch.setattr(quiver, "_connected", lambda q: shapes.append(q) or real_connected(q))
-    for flavor in ("sp", "o"):
-        shapes.clear()
-        argv = ["generators", "-q", str(path), "--dim", dim, "--flavor", flavor,
-                "--check-invariance", "1"]
-        assert cli.main(argv) == 0
-        assert shapes, "the command needs the graph type"
-        assert len({id(q) for q in shapes}) == len(shapes)
+    cli._parse_quiver_text.cache_clear()
+    assert cli.main(_generators_argv(path, sq, "sp", "--check-invariance", "1")) == 0
+    assert shapes, "the command needs the graph type"
+    assert len({id(q) for q in shapes}) == len(shapes)
+    del shapes[:]
+    assert cli.main(_generators_argv(path, sq, "o", "--check-invariance", "1")) == 0
+    assert shapes == []
 
 
 @pytest.mark.parametrize("sq", [families.a201(4, 2), families.a02(4, 2), families.a00(4)],
@@ -90,20 +99,60 @@ def test_generators_computes_graph_type_once_per_quiver(tmp_path, monkeypatch):
 def test_generators_finds_each_string_tiling_once_per_polygon(sq, tmp_path, monkeypatch):
     path = tmp_path / "family.quiver"
     path.write_text(sqio.serialize_quiver(sq))
-    dim = ",".join(str(x) for x in null_root(sq.base).scale(2).as_tuple(sq.base.vertices))
     tilings, realized = [], []
     real_tiling, real_realize = tame._find_tiling, semiinvariant.realize_interval
     monkeypatch.setattr(tame, "_find_tiling",
                         lambda s, poly: tilings.append((s, poly.name)) or real_tiling(s, poly))
     monkeypatch.setattr(semiinvariant, "realize_interval",
                         lambda s, *args: realized.append(args) or real_realize(s, *args))
-    for flavor in ("sp", "o"):
-        del tilings[:], realized[:]
-        assert cli.main(["generators", "-q", str(path), "--dim", dim, "--flavor", flavor]) == 0
-        # tilings keeps every quiver object alive, so no id is reused
-        keys = [(id(s), name) for s, name in tilings]
-        assert len(set(keys)) == len(keys)
-        assert len(realized) > len(keys) > 0
+    cli._parse_quiver_text.cache_clear()
+    assert cli.main(_generators_argv(path, sq, "sp")) == 0
+    # tilings keeps every quiver object alive, so no id is reused
+    keys = [(id(s), name) for s, name in tilings]
+    assert len(set(keys)) == len(keys)
+    # each arc module is realized once, and some polygon has two arcs
+    assert len(set(realized)) == len(realized) > len(keys) > 0
+    del tilings[:], realized[:]
+    assert cli.main(_generators_argv(path, sq, "o")) == 0
+    assert tilings == realized == []
+
+
+def test_quiver_cache_is_keyed_by_text_bounded_and_keeps_no_failed_parse(tmp_path,
+                                                                        monkeypatch):
+    parsed = []
+    real_parse = sqio.parse_quiver
+    monkeypatch.setattr(sqio, "parse_quiver", lambda text: parsed.append(text) or
+                        real_parse(text))
+    cli._parse_quiver_text.cache_clear()
+    path = tmp_path / "q.qv"
+
+    def classify():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["classify", "-q", str(path)])
+        return code, out.getvalue()
+
+    path.write_text(sqio.serialize_quiver(families.a201(0, 0)))
+    assert classify() == classify() == (0, "A201 k=0 l=0\n")
+    assert len(parsed) == 1
+    # an edited file at the same path is parsed afresh
+    path.write_text(sqio.serialize_quiver(families.a02(2, 2)))
+    assert classify() == (0, "A02 k=2 l=2\n")
+    assert len(parsed) == 2
+    # a file that fails to parse keeps nothing, and is parsed on every command
+    path.write_text("quiver X\nvertex 1 2\narrow a 1\n")
+    assert classify() == classify() == (2, "")
+    assert len(parsed) == 4
+    assert cli._parse_quiver_text.cache_info().currsize == 2
+    # the cache holds the last QUIVER_CACHE_SIZE texts
+    for n in range(2, cli.QUIVER_CACHE_SIZE + 2):
+        path.write_text(sqio.serialize_quiver(families.symmetric_a(n)))
+        assert classify() == (0, "FiniteA(%d)\n" % n)
+    assert cli._parse_quiver_text.cache_info().currsize == cli.QUIVER_CACHE_SIZE
+    del parsed[:]
+    path.write_text(sqio.serialize_quiver(families.a201(0, 0)))
+    assert classify() == (0, "A201 k=0 l=0\n")
+    assert len(parsed) == 1
 
 
 def test_unsupported_symmetric_type_is_not_kept():
@@ -142,6 +191,57 @@ def test_returned_invariants_cannot_change_the_memo():
     again = tau_orbits(sq)
     assert [(p.name, p.dims, p.sigma, p.partner)
             for p in again.polygons] == snapshot
+
+
+def _template_value(t):
+    """Everything of a template or pencil but its quiver object."""
+    return tuple(getattr(t, f.name) for f in dataclasses.fields(t) if f.name != "quiver")
+
+
+@pytest.mark.parametrize("make", [lambda: families.a00(2), lambda: families.d10(3)],
+                         ids=["A00_2", "D10_3"])
+def test_memoized_templates_cannot_change_the_memo(make):
+    sq = make()
+    d = null_root(sq.base).scale(2)
+    gens = semiinvariant.generators_tame(sq, d, "o")
+    arcs = {key: t for key, t in sq._memo.items() if key[0] == "arc_template"}
+    assert arcs, "the enumeration keeps its arc templates"
+    pen = tame.pencil_templates(sq)
+    templates = list(arcs.values())
+    if sq.base.name.startswith("A00"):
+        templates.append(tame.pf_singleton_template(sq))
+    for t in templates + [pen]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.rows = ()
+        with pytest.raises(AttributeError):
+            t.cols.append(1)
+        with pytest.raises(TypeError):
+            t.rows[0] = 7
+    for t in templates:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.entries = ()
+        with pytest.raises(TypeError):
+            t.entries[0] = ()
+        with pytest.raises(TypeError):
+            t.entries[0][0][("x",)] = 1
+    for grid in (pen.phi_entries, pen.psi_entries, pen.const_entries):
+        with pytest.raises(TypeError):
+            grid[0][0][("x",)] = 1
+        with pytest.raises(TypeError):
+            grid[0] = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pen.signs = (1,)
+    # a round of enumeration and evaluation leaves the memo as a fresh
+    # quiver computes it
+    values = semiinvariant.evaluate_all(gens, random_structured(sq, "o", d, seed=3))
+    assert tame.pencil_templates(sq) is pen
+    assert all(sq._memo[key] is t for key, t in arcs.items())
+    fresh = make()
+    assert semiinvariant.evaluate_all(semiinvariant.generators_tame(fresh, d, "o"),
+                                      random_structured(fresh, "o", d, seed=3)) == values
+    assert _template_value(tame.pencil_templates(fresh)) == _template_value(pen)
+    assert {key: _template_value(fresh._memo[key]) for key in arcs} == \
+        {key: _template_value(t) for key, t in arcs.items()}
 
 
 def test_quiver_objects_reject_attribute_assignment():

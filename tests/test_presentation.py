@@ -20,8 +20,8 @@ from symquiv.tame import pencil_templates, realize_interval, tau_orbits
 def test_minimal_presentation_of_interval_is_single_path():
     v = interval_module(4, 1, 2)
     t = minimal_presentation(v)
-    assert t.cols == [1]
-    assert t.rows == [3]
+    assert t.cols == (1,)
+    assert t.rows == (3,)
     assert list(t.entries[0][0].keys()) == [("a1", "a2")]
 
 
@@ -56,8 +56,8 @@ def test_presentation_of_tree_module_on_dtilde():
     one = RationalMatrix.identity(1)
     v = Representation(q, dim, {"a": one, "c1": one, "a~": one})
     t = minimal_presentation(v)
-    assert t.cols == [1]
-    assert t.rows == [5]
+    assert t.cols == (1,)
+    assert t.rows == (5,)
     back = module_from_presentation(t)
     assert back.dim == v.dim
 

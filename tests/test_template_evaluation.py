@@ -329,7 +329,7 @@ def test_skew_search_takes_the_first_candidate():
     beta = DimensionVector({v: 2 for v in sq.base.vertices})
     t = PathMatrix(sq.base, [1, 2], [3, 4], [[{}, {}], [{}, {}]])
     got = skew_normalize_template(t, _SeededPoints(sq, ORTHOGONAL, beta))
-    assert (got.rows, got.entries) == ([1, 2], t.entries)
+    assert (got.rows, got.entries) == ((1, 2), t.entries)
 
 
 def test_is_skew_with_row_signs():
@@ -498,14 +498,16 @@ def _layout(t: PathMatrix):
 
 
 def presented_modules(cases):
-    """Every module that generators_tame presents on the cases."""
+    """Every module that generators_tame presents on the cases.  Each case
+    runs on a fresh copy of its quiver, which has no arc templates kept
+    from an earlier enumeration."""
     modules = []
     present = semiinvariant.minimal_presentation
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semiinvariant, "minimal_presentation",
                    lambda m: modules.append(m) or present(m))
         for sq, d, flavor in cases:
-            generators_tame(sq, d, flavor)
+            generators_tame(sq.with_base(sq.base), d, flavor)
     return modules
 
 
